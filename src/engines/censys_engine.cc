@@ -298,20 +298,14 @@ void CensysEngine::ProcessThinRecord(ServiceKey key, Timestamp at) {
 }
 
 void CensysEngine::RunRefresh(Timestamp to) {
-  struct Due {
-    ServiceKey key;
-    bool pending;
-  };
-  std::vector<Due> due;
-  write_side_->ForEachTracked([&](const pipeline::ServiceState& state) {
-    if (state.last_refreshed + config_.refresh_interval <= to) {
-      due.push_back(Due{state.key,
-                        state.pending_eviction_since.has_value()});
-    }
-  });
+  std::vector<pipeline::DueService> due;
+  {
+    TRACE_SPAN("engine", "refresh.due");
+    due = write_side_->DueForRefresh(to - config_.refresh_interval);
+  }
   if (!config_.two_phase_validation) {
     // Naive-pipeline ablation: refresh is an L4 probe, no L7 validation.
-    for (const Due& item : due) {
+    for (const pipeline::DueService& item : due) {
       const int pop = next_pop_;
       next_pop_ = (next_pop_ + 1) % config_.pop_count;
       if (discovery_->ProbeOne(item.key, to, pop)) {
@@ -327,7 +321,7 @@ void CensysEngine::RunRefresh(Timestamp to) {
   // exactly as the serial loop made them.
   std::vector<InterrogationJob> jobs;
   jobs.reserve(due.size());
-  for (const Due& item : due) {
+  for (const pipeline::DueService& item : due) {
     InterrogationJob job;
     job.key = item.key;
     job.at = to;
@@ -365,7 +359,12 @@ void CensysEngine::RunPredictive(Timestamp from, Timestamp to) {
   const std::size_t budget = static_cast<std::size_t>(
       config_.predictive_budget_per_day_frac *
       static_cast<double>(net_.blocks().universe_size()) * day_fraction);
-  for (ServiceKey key : predictive_->GenerateCandidates(to, budget)) {
+  std::vector<ServiceKey> candidates;
+  {
+    TRACE_SPAN("engine", "predict.generate");
+    candidates = predictive_->GenerateCandidates(to, budget);
+  }
+  for (ServiceKey key : candidates) {
     const int pop = next_pop_;
     next_pop_ = (next_pop_ + 1) % config_.pop_count;
     if (!discovery_->ProbeOne(key, to, pop)) continue;
@@ -409,6 +408,7 @@ void CensysEngine::RunReinjection(Timestamp day_start) {
 }
 
 void CensysEngine::TakeAnalyticsSnapshot(Timestamp day_start) {
+  TRACE_SPAN("engine", "daily.snapshot");
   search::DailySnapshot snapshot;
   snapshot.day = day_start.minutes / 1440;
   std::unordered_set<std::uint32_t> hosts;
@@ -416,8 +416,7 @@ void CensysEngine::TakeAnalyticsSnapshot(Timestamp day_start) {
     ++snapshot.total_services;
     hosts.insert(state.key.ip.value());
     ++snapshot.by_port[state.key.port];
-    const EngineEntry entry = EntryFor(state);
-    ++snapshot.by_protocol[std::string(proto::Name(entry.label))];
+    ++snapshot.by_protocol[std::string(proto::Name(state.label))];
     if (state.key.ip.value() < net_.blocks().universe_size()) {
       ++snapshot.by_country[std::string(simnet::ToString(
           net_.blocks().BlockOf(state.key.ip).country))];
@@ -504,7 +503,10 @@ void CensysEngine::Tick(Timestamp from, Timestamp to) {
   {
     metrics::ScopedTimer timer(stage_commit_metric_);
     TRACE_SPAN("engine", "stage.commit");
-    write_side_->AdvanceTo(to);
+    {
+      TRACE_SPAN("engine", "commit.evict");
+      write_side_->AdvanceTo(to);
+    }
     stats.bus_events = bus_.Drain();
     stats.commit_us = timer.ElapsedMicros();
   }
@@ -549,13 +551,7 @@ EngineEntry CensysEngine::EntryFor(const pipeline::ServiceState& state) const {
   // eviction keep getting probed, so Censys data is never >48 h old (Fig 2).
   entry.last_scanned = state.last_refreshed;
   entry.record_count = 1;
-  const core::ThreadRoleGuard role(journal_.command_role());
-  if (const storage::FieldMap* fields =
-          journal_.CurrentState(pipeline::HostEntityId(state.key.ip))) {
-    if (const auto record = pipeline::RecordFrom(*fields, state.key)) {
-      entry.label = record->protocol;
-    }
-  }
+  entry.label = state.label;
   return entry;
 }
 

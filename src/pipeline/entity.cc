@@ -82,13 +82,13 @@ storage::Delta UpsertServiceDelta(const storage::FieldMap& entity_state,
 storage::Delta UpsertServiceDelta(const storage::FieldMap& entity_state,
                                   ServiceKey key,
                                   const storage::FieldMap& service_fields) {
-  const std::string prefix = ServicePrefix(key);
-  storage::FieldMap before;
-  for (auto it = entity_state.lower_bound(prefix);
-       it != entity_state.end() && StartsWith(it->first, prefix); ++it) {
-    before.emplace(it->first, it->second);
-  }
-  return storage::ComputeDelta(before, service_fields);
+  // Diff the service's prefix range of the entity state in place. The
+  // prefix ends in '.', so every key under it sorts before prefix-with-'/'.
+  std::string prefix = ServicePrefix(key);
+  const auto begin = entity_state.lower_bound(prefix);
+  prefix.back() = '/';
+  const auto end = entity_state.lower_bound(prefix);
+  return storage::ComputeDelta(begin, end, service_fields);
 }
 
 storage::Delta RemoveServiceDelta(const storage::FieldMap& entity_state,

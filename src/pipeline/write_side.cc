@@ -99,7 +99,7 @@ void WriteSide::IngestScanLocked(const ServiceRecord& record,
           const storage::Delta delta = RemoveServiceDelta(*state, key);
           journal_.Append(entity, storage::EventKind::kServiceRemoved,
                           record.observed_at, delta);
-          states_.erase(key.Pack());
+          EraseState(key.Pack());
           pseudo_suppressed_.fetch_add(1, std::memory_order_relaxed);
           pseudo_metric_.Add();
         }
@@ -126,10 +126,17 @@ void WriteSide::IngestScanLocked(const ServiceRecord& record,
   if (!existed) {
     service_state.key = record.key;
     service_state.first_seen = record.observed_at;
+    service_state.last_refreshed = record.observed_at;
+    by_refresh_.emplace(record.observed_at.minutes, packed);
+  } else {
+    SetLastRefreshed(service_state, record.observed_at);
   }
   service_state.last_seen = record.observed_at;
-  service_state.last_refreshed = record.observed_at;
-  service_state.pending_eviction_since.reset();
+  service_state.label = record.protocol;
+  if (service_state.pending_eviction_since.has_value()) {
+    service_state.pending_eviction_since.reset();
+    pending_.erase(packed);
+  }
   // Even a no-op refresh (empty delta, nothing journaled) moved last_seen,
   // which is visible in HostViews — cached views must not survive it.
   BumpRevision(record.key.ip);
@@ -199,12 +206,31 @@ void WriteSide::IngestFailure(ServiceKey key, Timestamp at) {
   failure_metric_.Add();
   const auto it = states_.find(key.Pack());
   if (it == states_.end()) return;
-  it->second.last_refreshed = at;
+  SetLastRefreshed(it->second, at);
   if (!it->second.pending_eviction_since.has_value()) {
     // "Mark services as pending eviction after the first scan fails."
     it->second.pending_eviction_since = at;
+    pending_.insert(it->first);
   }
   BumpRevision(key.ip);
+}
+
+void WriteSide::SetLastRefreshed(ServiceState& state, Timestamp at) {
+  if (state.last_refreshed == at) return;
+  // Re-key the existing node in place: no allocation per refresh.
+  auto node =
+      by_refresh_.extract({state.last_refreshed.minutes, state.key.Pack()});
+  node.value().first = at.minutes;
+  by_refresh_.insert(std::move(node));
+  state.last_refreshed = at;
+}
+
+void WriteSide::EraseState(std::uint64_t packed) {
+  const auto it = states_.find(packed);
+  if (it == states_.end()) return;
+  by_refresh_.erase({it->second.last_refreshed.minutes, packed});
+  pending_.erase(packed);
+  states_.erase(it);
 }
 
 void WriteSide::AdvanceTo(Timestamp now) {
@@ -213,20 +239,16 @@ void WriteSide::AdvanceTo(Timestamp now) {
   const core::MutexLock lock(mu_);
   // Evictions journal write-through; staged scan events must land first.
   if (batching_) FlushCommitBatchLocked();
-  std::vector<ServiceState> to_evict;
-  // censyslint:allow(unordered-iter): candidates sorted by key before any
-  // journal append, so eviction event order never reflects hash layout
-  for (const auto& [packed, state] : states_) {
-    if (state.pending_eviction_since.has_value() &&
-        *state.pending_eviction_since + options_.eviction_deadline <= now) {
-      to_evict.push_back(state);
+  // Walk the pending set in packed-key order: evictions journal in that
+  // order. Collect first, since Evict erases from the set.
+  std::vector<ServiceKey> to_evict;
+  for (const std::uint64_t packed : pending_) {
+    const ServiceState& state = states_.at(packed);
+    if (*state.pending_eviction_since + options_.eviction_deadline <= now) {
+      to_evict.push_back(state.key);
     }
   }
-  std::sort(to_evict.begin(), to_evict.end(),
-            [](const ServiceState& a, const ServiceState& b) {
-              return a.key.Pack() < b.key.Pack();
-            });
-  for (const ServiceState& state : to_evict) Evict(state, now);
+  for (const ServiceKey key : to_evict) Evict(key, now);
 
   // Age out the pruned list beyond the re-injection window.
   while (!pruned_.empty() &&
@@ -235,19 +257,19 @@ void WriteSide::AdvanceTo(Timestamp now) {
   }
 }
 
-void WriteSide::Evict(const ServiceState& state, Timestamp now) {
-  const std::string entity = HostEntityId(state.key.ip);
+void WriteSide::Evict(ServiceKey key, Timestamp now) {
+  const std::string entity = HostEntityId(key.ip);
   if (const storage::FieldMap* current = journal_.CurrentState(entity)) {
-    const storage::Delta delta = RemoveServiceDelta(*current, state.key);
+    const storage::Delta delta = RemoveServiceDelta(*current, key);
     if (!delta.empty()) {
       journal_.Append(entity, storage::EventKind::kServiceRemoved, now, delta);
-      bus_.Publish(PipelineEvent{entity, state.key,
-                                 storage::EventKind::kServiceRemoved, now});
+      bus_.Publish(
+          PipelineEvent{entity, key, storage::EventKind::kServiceRemoved, now});
     }
   }
-  states_.erase(state.key.Pack());
-  pruned_.push_back(PrunedEntry{state.key, now});
-  BumpRevision(state.key.ip);
+  EraseState(key.Pack());
+  pruned_.push_back(PrunedEntry{key, now});
+  BumpRevision(key.ip);
   evictions_.fetch_add(1, std::memory_order_relaxed);
   eviction_metric_.Add();
   tracked_metric_.Set(static_cast<std::int64_t>(states_.size()));
@@ -301,6 +323,31 @@ void WriteSide::ForEachTracked(
               return a->key.Pack() < b->key.Pack();
             });
   for (const ServiceState* state : sorted) fn(*state);
+}
+
+std::vector<DueService> WriteSide::DueForRefresh(Timestamp cutoff) const {
+  const core::ReaderLock lock(mu_);
+  std::vector<DueService> due;
+  for (const auto& [refreshed, packed] : by_refresh_) {
+    if (refreshed > cutoff.minutes) break;
+    due.push_back(
+        DueService{ServiceKey::Unpack(packed), pending_.contains(packed)});
+  }
+  std::sort(due.begin(), due.end(),
+            [](const DueService& a, const DueService& b) {
+              return a.key.Pack() < b.key.Pack();
+            });
+  return due;
+}
+
+std::vector<ServiceKey> WriteSide::PendingEviction() const {
+  const core::ReaderLock lock(mu_);
+  std::vector<ServiceKey> keys;
+  keys.reserve(pending_.size());
+  for (const std::uint64_t packed : pending_) {
+    keys.push_back(ServiceKey::Unpack(packed));
+  }
+  return keys;
 }
 
 void WriteSide::ForEachPruned(

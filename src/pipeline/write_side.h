@@ -23,6 +23,7 @@
 #include <deque>
 #include <functional>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -41,6 +42,15 @@ struct ServiceState {
   Timestamp last_seen;        // last successful interrogation
   Timestamp last_refreshed;   // last attempt, successful or not
   std::optional<Timestamp> pending_eviction_since;
+  // Protocol of the last ingested record: what the journal's current
+  // state says about this service, without a string-keyed journal read.
+  proto::Protocol label = proto::Protocol::kUnknown;
+};
+
+// A service due for refresh, as DueForRefresh reports it.
+struct DueService {
+  ServiceKey key;
+  bool pending = false;  // pending eviction (refresh rotates PoPs)
 };
 
 // An event published on the async bus after journaling.
@@ -144,6 +154,13 @@ class WriteSide {
       const std::function<void(const ServiceState&)>& fn) const;
   std::size_t tracked_count() const;
 
+  // Every tracked service last refreshed at or before `cutoff`, sorted by
+  // packed key. Reads the refresh index: cost follows the due count, not
+  // the tracked count.
+  std::vector<DueService> DueForRefresh(Timestamp cutoff) const;
+  // Services marked pending eviction, sorted by packed key.
+  std::vector<ServiceKey> PendingEviction() const;
+
   // Monotonic per-host revision of non-journaled scan state (last_seen,
   // last_refreshed, pending-eviction marks, evictions). Together with the
   // journal seqno watermark it forms the view-cache freshness stamp.
@@ -188,8 +205,13 @@ class WriteSide {
                         const std::uint64_t* content_hash)
       CENSYS_REQUIRES(mu_);
   void FlushCommitBatchLocked() CENSYS_REQUIRES(mu_);
-  void Evict(const ServiceState& state, Timestamp now)
+  void Evict(ServiceKey key, Timestamp now)
       CENSYS_REQUIRES(mu_, journal_.command_role());
+  // Drops a service's scan state and its index entries (no-op if absent).
+  void EraseState(std::uint64_t packed) CENSYS_REQUIRES(mu_);
+  // Moves a state's refresh-index entry to `at` and stores it.
+  void SetLastRefreshed(ServiceState& state, Timestamp at)
+      CENSYS_REQUIRES(mu_);
   void BumpRevision(IPv4Address ip) CENSYS_REQUIRES(mu_) {
     ++host_revisions_[ip.value()];
   }
@@ -205,6 +227,12 @@ class WriteSide {
 
   // Service scan state by packed key.
   std::unordered_map<std::uint64_t, ServiceState> states_ CENSYS_GUARDED_BY(mu_);
+  // Indexes over states_, updated wherever the indexed field is written
+  // (DESIGN.md §6): (last_refreshed minutes, packed key) for every state,
+  // and the packed keys whose pending_eviction_since is set.
+  std::set<std::pair<std::int64_t, std::uint64_t>> by_refresh_
+      CENSYS_GUARDED_BY(mu_);
+  std::set<std::uint64_t> pending_ CENSYS_GUARDED_BY(mu_);
   struct PrunedEntry {
     ServiceKey key;
     Timestamp pruned_at;

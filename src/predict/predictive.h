@@ -56,43 +56,71 @@ class PredictiveEngine {
   // Online training: a service was confirmed at `key`.
   void ObserveService(ServiceKey key);
 
-  // Proposes up to `budget` candidates to probe at `now`.
+  // Proposes up to `budget` candidates to probe at `now`. `now` must not
+  // decrease from one call to the next.
   std::vector<ServiceKey> GenerateCandidates(Timestamp now,
                                              std::size_t budget);
+
+  // One (block, port) affinity with at least min_affinity_support
+  // observations.
+  struct AffinityEntry {
+    std::uint32_t block_id;
+    Port port;
+    std::uint32_t support;
+    bool operator==(const AffinityEntry&) const = default;
+  };
+  // Every supported affinity, strongest first (support desc, then block,
+  // then port). Candidate sampling indexes into this vector. Re-ranks only
+  // the (block, port) counts that changed since the previous call.
+  const std::vector<AffinityEntry>& AffinityRanking();
+
+  // A correlated port and its co-occurrence count.
+  using Correlation = std::pair<Port, std::uint32_t>;
+  // The ports most often seen open beside `port` (count desc, then port
+  // asc), at most kMaxCorrelated, each with min_cooccurrence_support.
+  const std::vector<Correlation>& CorrelatedPorts(Port port) const;
+  static constexpr std::size_t kMaxCorrelated = 8;
+
+  // Keys held for the proposal cooldown. Expired ones are dropped once per
+  // simulated day, so this stays near one cooldown's worth of proposals.
+  std::size_t cooldown_entries() const { return last_proposed_.size(); }
 
   const PredictorStats& stats() const { return stats_; }
 
  private:
   bool Cooldown(ServiceKey key, Timestamp now);
+  // A pair count involving `port` reached `count`: keep `port`'s top list
+  // exact. Counts only grow, so `other` can enter the list only here.
+  void RaiseCorrelation(Port port, Port other, std::uint32_t count);
 
   const simnet::BlockPlan& plan_;
   Options options_;
   Rng rng_;
 
   // Affinity model: (block_id, port) -> observation count.
-  std::unordered_map<std::uint64_t, std::uint32_t> block_port_counts_;
+  struct AffinityCount {
+    std::uint32_t count = 0;
+    std::uint32_t ranked = 0;  // support in hot_affinities_, 0 = absent
+    bool queued = false;       // in rerank_
+  };
+  std::unordered_map<std::uint64_t, AffinityCount> block_port_counts_;
   // Ports seen per host (bounded small vectors).
   std::unordered_map<std::uint32_t, std::vector<Port>> host_ports_;
   // Co-occurrence model: (port_a << 16 | port_b) -> count, a < b.
   std::unordered_map<std::uint32_t, std::uint32_t> pair_counts_;
-  // Per-port correlated-port index, rebuilt lazily from pair_counts_.
-  std::unordered_map<Port, std::vector<std::pair<Port, std::uint32_t>>>
-      correlated_;
-  bool correlated_dirty_ = true;
+  // Per-port top correlated ports, updated on every pair-count increment.
+  std::unordered_map<Port, std::vector<Correlation>> correlated_;
   // Hosts with fresh discoveries, drained first by candidate generation
   // (new hosts are the best co-occurrence targets).
   std::deque<std::uint32_t> recent_hosts_;
   // Proposal cooldown: packed key -> last proposal time.
   std::unordered_map<std::uint64_t, Timestamp> last_proposed_;
+  std::int64_t last_prune_day_ = -1;
 
-  // Hot lists rebuilt lazily from the models.
-  struct AffinityEntry {
-    std::uint32_t block_id;
-    Port port;
-    std::uint32_t support;
-  };
+  // AffinityRanking's result, and the (block, port) keys whose count
+  // changed since it was last brought up to date.
   std::vector<AffinityEntry> hot_affinities_;
-  bool hot_dirty_ = true;
+  std::vector<std::uint64_t> rerank_;
 
   PredictorStats stats_;
 };

@@ -39,6 +39,11 @@ struct Delta {
 // The delta that transforms `before` into `after`.
 Delta ComputeDelta(const FieldMap& before, const FieldMap& after);
 
+// Same, with `before` given as a range of a larger map (e.g. the fields
+// under one prefix of an entity state), diffed in place without a copy.
+Delta ComputeDelta(FieldMap::const_iterator before_begin,
+                   FieldMap::const_iterator before_end, const FieldMap& after);
+
 // Applies `delta` to `state` in place.
 void ApplyDelta(FieldMap& state, const Delta& delta);
 

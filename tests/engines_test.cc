@@ -10,6 +10,7 @@
 #include "core/strings.h"
 #include "engines/evaluation.h"
 #include "engines/world.h"
+#include "pipeline/entity.h"
 #include "web/attach.h"
 
 namespace censys::engines {
@@ -177,6 +178,24 @@ TEST_F(WorldTest, QueryHostMatchesForEachEntry) {
     EXPECT_TRUE(found) << entry.key.ToString();
   });
   EXPECT_EQ(checked, 20);
+}
+
+// Entry labels come from the protocol carried in scan state; the reference
+// is the label rebuilt from the journal's current entity state.
+TEST_F(WorldTest, EntryLabelsMatchJournalState) {
+  const CensysEngine& censys = world_->censys();
+  const core::ThreadRoleGuard role(censys.journal().command_role());
+  std::size_t checked = 0;
+  censys.ForEachEntry([&](const EngineEntry& entry) {
+    const storage::FieldMap* fields =
+        censys.journal().CurrentState(pipeline::HostEntityId(entry.key.ip));
+    ASSERT_NE(fields, nullptr) << entry.key.ToString();
+    const auto record = pipeline::RecordFrom(*fields, entry.key);
+    ASSERT_TRUE(record.has_value()) << entry.key.ToString();
+    EXPECT_EQ(entry.label, record->protocol) << entry.key.ToString();
+    ++checked;
+  });
+  EXPECT_EQ(checked, censys.write_side().tracked_count());
 }
 
 TEST_F(WorldTest, DuplicateInflationMatchesPolicies) {

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/rng.h"
 #include "engines/enrichment.h"
 #include "pipeline/entity.h"
 #include "pipeline/read_side.h"
@@ -216,6 +217,115 @@ TEST_F(WriteSideTest, EventBusDeliversAsync) {
   EXPECT_EQ(bus_.Drain(), 1u);
   ASSERT_EQ(seen.size(), 1u);
   EXPECT_EQ(seen[0], storage::EventKind::kServiceFound);
+}
+
+// ------------------------------------------------- write-side index oracles
+
+// The reference answers the incremental indexes replace: a full scan of
+// every tracked state, as the engine computed them before the indexes.
+std::vector<std::pair<std::uint64_t, bool>> DueByScan(const WriteSide& write,
+                                                      Timestamp cutoff) {
+  std::vector<std::pair<std::uint64_t, bool>> due;
+  write.ForEachTracked([&](const ServiceState& state) {
+    if (state.last_refreshed <= cutoff) {
+      due.emplace_back(state.key.Pack(),
+                       state.pending_eviction_since.has_value());
+    }
+  });
+  return due;
+}
+
+std::vector<std::uint64_t> PendingByScan(const WriteSide& write) {
+  std::vector<std::uint64_t> pending;
+  write.ForEachTracked([&](const ServiceState& state) {
+    if (state.pending_eviction_since.has_value()) {
+      pending.push_back(state.key.Pack());
+    }
+  });
+  return pending;
+}
+
+// Seeded random schedules of ingests (fresh, changed and out-of-order
+// timestamps), failures, eviction sweeps and pseudo-host flags, with
+// batched and write-through commits. After every step the refresh index,
+// the pending set and the carried labels must equal a full scan.
+TEST(WriteSideIndexOracleTest, IndexesMatchFullScanOverRandomSchedules) {
+  const proto::Protocol kProtocols[] = {proto::Protocol::kHttp,
+                                        proto::Protocol::kSsh,
+                                        proto::Protocol::kTelnet};
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    storage::EventJournal journal;
+    EventBus bus;
+    WriteSide::Options options;
+    options.pseudo_service_threshold = 4;
+    WriteSide write(journal, bus, options);
+    const core::ThreadRoleGuard role(write.command_role());
+    Rng rng(seed);
+    Timestamp now{0};
+    std::size_t evictions_seen = 0;
+    for (int step = 0; step < 600; ++step) {
+      now = now + Duration{static_cast<std::int64_t>(rng.NextBelow(240))};
+      const ServiceKey key{IPv4Address(1 + rng.NextBelow(12)),
+                           static_cast<Port>(80 + rng.NextBelow(10)),
+                           Transport::kTcp};
+      const std::uint64_t op = rng.NextBelow(100);
+      if (op < 55) {
+        // Distinct content, except that hosts 1 and 2 often answer with
+        // one canned record, which piles up past the pseudo threshold.
+        const bool canned = key.ip.value() <= 2 && rng.NextBelow(2) == 0;
+        auto record = HttpRecord(
+            key.ip, key.port,
+            now - Duration{static_cast<std::int64_t>(rng.NextBelow(600))},
+            canned ? "Canned" : "Site " + std::to_string(key.port) + "/" +
+                                    std::to_string(rng.NextBelow(3)));
+        if (canned) {
+          record.banner = "Server: middlebox";
+        } else {
+          record.protocol = kProtocols[rng.NextBelow(3)];
+        }
+        if (rng.NextBelow(4) == 0) {
+          write.BeginCommitBatch();
+          write.IngestScan(record);
+          write.EndCommitBatch();
+        } else {
+          write.IngestScan(record);
+        }
+      } else if (op < 85) {
+        write.IngestFailure(key, now);
+      } else {
+        const std::uint64_t before = write.services_evicted();
+        write.AdvanceTo(now);
+        evictions_seen += write.services_evicted() - before;
+      }
+
+      for (const Duration back : {Duration{0}, Duration::Hours(6),
+                                  Duration::Days(1), Duration::Days(3)}) {
+        const Timestamp cutoff = now - back;
+        std::vector<std::pair<std::uint64_t, bool>> got;
+        for (const DueService& due : write.DueForRefresh(cutoff)) {
+          got.emplace_back(due.key.Pack(), due.pending);
+        }
+        ASSERT_EQ(got, DueByScan(write, cutoff)) << "step " << step;
+      }
+      std::vector<std::uint64_t> pending;
+      for (const ServiceKey pending_key : write.PendingEviction()) {
+        pending.push_back(pending_key.Pack());
+      }
+      ASSERT_EQ(pending, PendingByScan(write)) << "step " << step;
+      write.ForEachTracked([&](const ServiceState& state) {
+        const storage::FieldMap* fields =
+            journal.CurrentState(HostEntityId(state.key.ip));
+        ASSERT_NE(fields, nullptr);
+        const auto record = RecordFrom(*fields, state.key);
+        ASSERT_TRUE(record.has_value());
+        EXPECT_EQ(state.label, record->protocol) << state.key.ToString();
+      });
+    }
+    // The schedule really exercised the eviction and pseudo paths.
+    EXPECT_GT(evictions_seen, 0u);
+    EXPECT_GT(write.pseudo_suppressed(), 0u);
+  }
 }
 
 // ------------------------------------------------------------------ read side

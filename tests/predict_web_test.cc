@@ -1,7 +1,13 @@
 // Tests for the predictive scan engine and the web-property catalog.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
+#include <string>
+#include <vector>
+
+#include "core/rng.h"
 
 #include "cert/ct.h"
 #include "predict/predictive.h"
@@ -104,6 +110,154 @@ TEST(PredictiveTest, StatsAreTracked) {
   engine.GenerateCandidates(Timestamp{0}, 50);
   EXPECT_EQ(engine.stats().observations, 10u);
   EXPECT_GT(engine.stats().candidates_emitted, 0u);
+}
+
+// The full-rebuild reference for the predictive rankings: replays the same
+// observations into plain count maps and ranks them from scratch, as the
+// engine did before it kept the rankings up to date incrementally.
+class RankingOracle {
+ public:
+  RankingOracle(const simnet::BlockPlan& plan,
+                predict::PredictiveEngine::Options options)
+      : plan_(plan), options_(options) {}
+
+  void Observe(ServiceKey key) {
+    const std::uint32_t block = plan_.BlockOf(key.ip).id;
+    ++block_port_counts_[(static_cast<std::uint64_t>(block) << 16) | key.port];
+    auto& ports = host_ports_[key.ip.value()];
+    if (std::find(ports.begin(), ports.end(), key.port) != ports.end()) return;
+    if (pair_counts_.size() < options_.max_pairs) {
+      for (Port existing : ports) {
+        ++pair_counts_[{std::min(existing, key.port),
+                        std::max(existing, key.port)}];
+      }
+    }
+    if (ports.size() < 16) ports.push_back(key.port);
+  }
+
+  std::vector<predict::PredictiveEngine::AffinityEntry> Affinities() const {
+    std::vector<predict::PredictiveEngine::AffinityEntry> hot;
+    for (const auto& [key, count] : block_port_counts_) {
+      if (count < options_.min_affinity_support) continue;
+      hot.push_back({static_cast<std::uint32_t>(key >> 16),
+                     static_cast<Port>(key & 0xffff), count});
+    }
+    std::sort(hot.begin(), hot.end(), [](const auto& a, const auto& b) {
+      if (a.support != b.support) return a.support > b.support;
+      if (a.block_id != b.block_id) return a.block_id < b.block_id;
+      return a.port < b.port;
+    });
+    return hot;
+  }
+
+  std::map<Port, std::vector<predict::PredictiveEngine::Correlation>>
+  Correlated() const {
+    std::map<Port, std::vector<predict::PredictiveEngine::Correlation>> out;
+    for (const auto& [pair, count] : pair_counts_) {
+      if (count < options_.min_cooccurrence_support) continue;
+      out[pair.first].emplace_back(pair.second, count);
+      out[pair.second].emplace_back(pair.first, count);
+    }
+    for (auto& [port, list] : out) {
+      std::sort(list.begin(), list.end(), [](const auto& x, const auto& y) {
+        if (x.second != y.second) return x.second > y.second;
+        return x.first < y.first;
+      });
+      if (list.size() > predict::PredictiveEngine::kMaxCorrelated) {
+        list.resize(predict::PredictiveEngine::kMaxCorrelated);
+      }
+    }
+    return out;
+  }
+
+ private:
+  const simnet::BlockPlan& plan_;
+  predict::PredictiveEngine::Options options_;
+  std::map<std::uint64_t, std::uint32_t> block_port_counts_;
+  std::map<std::uint32_t, std::vector<Port>> host_ports_;
+  std::map<std::pair<Port, Port>, std::uint32_t> pair_counts_;
+};
+
+// Seeded random observation streams over a few blocks, hosts and ports (so
+// counts tie, lists overflow kMaxCorrelated and entries get displaced),
+// interleaved with candidate generation. Both rankings must equal the full
+// rebuild element for element — affinity sampling indexes into the list.
+TEST(PredictiveTest, IncrementalRankingsMatchFullRebuild) {
+  simnet::Internet net(SmallConfig());
+  const std::vector<const simnet::NetworkBlock*> blocks =
+      net.blocks().BlocksOfType(simnet::NetworkType::kHosting);
+  ASSERT_GE(blocks.size(), 3u);
+  for (const std::size_t max_pairs : {std::size_t{1} << 20, std::size_t{40}}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " max_pairs=" + std::to_string(max_pairs));
+      predict::PredictiveEngine::Options options;
+      options.max_pairs = max_pairs;
+      predict::PredictiveEngine engine(net.blocks(), seed, options);
+      RankingOracle oracle(net.blocks(), options);
+      Rng rng(seed * 7919);
+      for (int step = 0; step < 3000; ++step) {
+        const simnet::NetworkBlock& block = *blocks[rng.NextBelow(3)];
+        const ServiceKey key{block.cidr.AddressAt(rng.NextBelow(40)),
+                             static_cast<Port>(8000 + rng.NextBelow(24)),
+                             Transport::kTcp};
+        engine.ObserveService(key);
+        oracle.Observe(key);
+        if (rng.NextBelow(50) != 0) continue;
+        if (rng.NextBelow(2) == 0) {
+          engine.GenerateCandidates(Timestamp{step}, 32);
+        }
+        ASSERT_EQ(engine.AffinityRanking(), oracle.Affinities())
+            << "step " << step;
+        const auto correlated = oracle.Correlated();
+        for (Port port = 8000; port < 8024; ++port) {
+          const auto it = correlated.find(port);
+          const std::vector<predict::PredictiveEngine::Correlation> want =
+              it == correlated.end()
+                  ? std::vector<predict::PredictiveEngine::Correlation>{}
+                  : it->second;
+          ASSERT_EQ(engine.CorrelatedPorts(port), want)
+              << "port " << port << " step " << step;
+        }
+      }
+    }
+  }
+}
+
+// Expired cooldown entries are dropped once per simulated day: over two
+// simulated months of 2-hour ticks the map stays near one cooldown window
+// of proposals instead of growing with every proposal ever made.
+TEST(PredictiveTest, CooldownMapStaysBoundedOverLongRuns) {
+  simnet::Internet net(SmallConfig());
+  predict::PredictiveEngine engine(net.blocks(), 5);
+  for (const simnet::NetworkBlock* block :
+       net.blocks().BlocksOfType(simnet::NetworkType::kHosting)) {
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      engine.ObserveService({block->cidr.AddressAt(i), 8443, Transport::kTcp});
+    }
+  }
+  std::vector<std::size_t> emitted_per_day;
+  std::size_t peak = 0;
+  for (int day = 0; day < 60; ++day) {
+    std::size_t emitted = 0;
+    for (int tick = 0; tick < 12; ++tick) {
+      const Timestamp now{day * 1440 + tick * 120};
+      emitted += engine.GenerateCandidates(now, 100).size();
+    }
+    emitted_per_day.push_back(emitted);
+    // Nothing older than the 7-day cooldown plus the day being pruned
+    // survives: at most the last eight days' proposals.
+    std::size_t window = 0;
+    for (std::size_t d = emitted_per_day.size() >= 8
+                             ? emitted_per_day.size() - 8
+                             : 0;
+         d < emitted_per_day.size(); ++d) {
+      window += emitted_per_day[d];
+    }
+    EXPECT_LE(engine.cooldown_entries(), window) << "day " << day;
+    peak = std::max(peak, engine.cooldown_entries());
+  }
+  EXPECT_LT(peak, engine.stats().candidates_emitted / 4);
 }
 
 // ------------------------------------------------------------------------- web
