@@ -56,8 +56,8 @@ SAN_TESTS=(
   "storage_test:JournalConcurrencyTest.*:Wal*"
   "pipeline_test:ReadSideTest.LookupsRunConcurrentlyWithIngest"
   "search_test:IndexConcurrencyTest.*"
-  "engines_test:WorldDeterminismTest.Parallel*:WorldDeterminismTest.GroupCommit*"
-  "core_test:ExecutorTest.*:RingTest.*:SlotBoardTest.*:FaultInjectorTest.*:Crc32cTest.*"
+  "engines_test:WorldDeterminismTest.Parallel*:WorldDeterminismTest.GroupCommit*:TickPipelineTest.*:TickReportTest.*"
+  "core_test:ExecutorTest.*:FaultInjectorTest.*:Crc32cTest.*"
   "failure_injection_test:WalTortureTest.*:WalFaultTest.*"
   "trace_test:"
   "replication_test:"

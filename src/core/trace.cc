@@ -31,8 +31,8 @@ struct Slot {
   std::uint8_t arg_value_len = 0;
 };
 
-struct ThreadRing {
-  explicit ThreadRing(std::uint32_t id) : thread_id(id) {}
+struct ThreadBuffer {
+  explicit ThreadBuffer(std::uint32_t id) : thread_id(id) {}
   const std::uint32_t thread_id;
   std::atomic<std::uint64_t> head{0};  // spans ever recorded by this thread
   Slot slots[kRingCapacity];
@@ -49,9 +49,9 @@ class Recorder {
     return *recorder;  // must outlive late-exiting threads and atexit dumps
   }
 
-  ThreadRing* RegisterThread() {
+  ThreadBuffer* RegisterThread() {
     core::MutexLock lock(mu_);
-    rings_.push_back(std::make_unique<ThreadRing>(
+    rings_.push_back(std::make_unique<ThreadBuffer>(
         static_cast<std::uint32_t>(rings_.size() + 1)));
     return rings_.back().get();
   }
@@ -102,7 +102,7 @@ class Recorder {
   Recorder() = default;
 
   core::Mutex mu_;
-  std::vector<std::unique_ptr<ThreadRing>> rings_ CENSYS_GUARDED_BY(mu_);
+  std::vector<std::unique_ptr<ThreadBuffer>> rings_ CENSYS_GUARDED_BY(mu_);
 };
 
 // Arms recording from the environment exactly once: CENSYSIM_TRACE_FILE
@@ -184,7 +184,7 @@ bool Enabled() {
 void RecordSpan(const char* category, const char* name, double start_us,
                 double duration_us, std::string_view arg_key,
                 std::string_view arg_value) {
-  thread_local ThreadRing* ring = Recorder::Get().RegisterThread();
+  thread_local ThreadBuffer* ring = Recorder::Get().RegisterThread();
   const std::uint64_t head = ring->head.load(std::memory_order_relaxed);
   Slot& slot = ring->slots[head % kRingCapacity];
   slot.category = category;

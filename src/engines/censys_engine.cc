@@ -532,9 +532,11 @@ void CensysEngine::Tick(Timestamp from, Timestamp to) {
   stats.commit_stalls = pipe.commit_stalls;
   stats.batch_flushes = pipe.batch_flushes;
   stats.pipeline_wall_us = pipe.wall_us;
-  stats.worker_busy_us = pipe.worker_busy_us;
+  stats.worker_busy_us = pipe.worker_busy_us + pipe.help_busy_us;
   stats.commit_busy_us = pipe.commit_busy_us;
   if (pipe.wall_us > 0) {
+    // Worker threads only: help runs happen on the command thread, outside
+    // the workers' wall-clock budget.
     const int workers = executor_->thread_count();
     stats.worker_occupancy =
         workers > 0 ? pipe.worker_busy_us / (pipe.wall_us * workers) : 0.0;

@@ -72,18 +72,21 @@ struct TickStats {
 
   // Overlapped interrogation pipeline (stages 3-5) detail, summed over
   // every wave of the tick.
-  std::uint64_t pipeline_jobs = 0;     // jobs through the ring
+  std::uint64_t pipeline_jobs = 0;     // jobs through the pipeline
   std::uint64_t pipeline_waves = 0;    // job batches run
-  std::uint64_t help_runs = 0;         // jobs the commit thread stole
+  // Jobs the commit thread executed itself; a serial run (threads = 0)
+  // counts every job.
+  std::uint64_t help_runs = 0;
   std::uint64_t commit_stalls = 0;     // committer yields on a pending slot
   std::uint64_t batch_flushes = 0;     // group-commit flushes
   double pipeline_wall_us = 0;         // wall clock inside the pipeline
   double worker_busy_us = 0;           // interrogation time, all threads
   double commit_busy_us = 0;           // serial commit time
   // Busy / wall fractions under overlap: how much of the pipeline's wall
-  // clock each stage actually worked. worker_occupancy is normalized by
-  // the worker count (1.0 = every worker busy the whole time; 0 when
-  // single-threaded), commit_occupancy by the one command thread.
+  // clock each stage actually worked. worker_occupancy counts worker
+  // threads only (not help runs) and is normalized by the worker count
+  // (1.0 = every worker busy the whole time; 0 when single-threaded),
+  // commit_occupancy by the one command thread.
   double worker_occupancy = 0;
   double commit_occupancy = 0;
 };

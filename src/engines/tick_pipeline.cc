@@ -20,69 +20,52 @@ TickPipeline::TickPipeline(Executor& executor,
       predictive_(predictive),
       commit_batch_(commit_batch == 0 ? 1 : commit_batch) {}
 
-void TickPipeline::Execute(std::uint32_t index) {
+double TickPipeline::Execute(std::size_t index) {
   const metrics::ScopedTimer timer({});
   const InterrogationJob& job = (*jobs_)[index];
-  StagedResult& slot = board_.Slot(index);
+  Slot& slot = slots_[index];
+  StagedResult& staged = slot.value;
   // Slots are reused across waves: clear before filling.
-  slot = StagedResult{};
+  staged = StagedResult{};
   if (job.interrogate) {
     try {
-      slot.result = interrogator_.InterrogateDetached(job.key, job.at, job.pop,
-                                                      job.udp_hint);
-      if (job.project && slot.result.record.has_value()) {
+      staged.result = interrogator_.InterrogateDetached(job.key, job.at,
+                                                        job.pop, job.udp_hint);
+      if (job.project && staged.result.record.has_value()) {
         // Project the record into entity fields and hash its content here,
         // off the command thread — the serial stage then only diffs.
-        slot.service_fields = pipeline::ServiceFields(*slot.result.record);
-        slot.content_hash =
-            pipeline::WriteSide::ContentHash(*slot.result.record);
-        slot.projected = true;
+        staged.service_fields = pipeline::ServiceFields(*staged.result.record);
+        staged.content_hash =
+            pipeline::WriteSide::ContentHash(*staged.result.record);
+        staged.projected = true;
       }
     } catch (...) {
       // Publish the (empty) slot even on failure so the commit stage never
       // waits forever on it; the exception surfaces at JoinBroadcast.
-      slot = StagedResult{};
-      board_.Publish(index);
+      staged = StagedResult{};
+      slot.ready.store(1, std::memory_order_release);
       throw;
     }
   }
-  board_.Publish(index);
-  worker_busy_us_.fetch_add(static_cast<std::uint64_t>(timer.ElapsedMicros()),
-                            std::memory_order_relaxed);
+  slot.ready.store(1, std::memory_order_release);
+  return timer.ElapsedMicros();
 }
 
-void TickPipeline::Commit(std::uint32_t index) {
+void TickPipeline::Commit(std::size_t index) {
   const InterrogationJob& job = (*jobs_)[index];
-  const StagedResult& slot = board_.Slot(index);
-  interrogator_.CommitResult(slot.result);
-  if (slot.result.record.has_value()) {
-    if (slot.projected) {
-      write_side_.IngestScan(*slot.result.record, slot.service_fields,
-                             slot.content_hash);
+  const StagedResult& staged = slots_[index].value;
+  interrogator_.CommitResult(staged.result);
+  if (staged.result.record.has_value()) {
+    if (staged.projected) {
+      write_side_.IngestScan(*staged.result.record, staged.service_fields,
+                             staged.content_hash);
     } else {
-      write_side_.IngestScan(*slot.result.record);
+      write_side_.IngestScan(*staged.result.record);
     }
     if (job.observe_predictive) predictive_.ObserveService(job.key);
   } else if (job.ingest_failure_on_miss) {
     write_side_.IngestFailure(job.key, job.at);
   }
-}
-
-void TickPipeline::RunSerial(const std::vector<InterrogationJob>& jobs) {
-  write_side_.BeginCommitBatch();
-  std::uint32_t since_flush = 0;
-  for (std::uint32_t i = 0; i < jobs.size(); ++i) {
-    Execute(i);
-    const metrics::ScopedTimer commit_timer({});
-    Commit(i);
-    if (++since_flush >= commit_batch_) {
-      write_side_.FlushCommitBatch();
-      ++stats_.batch_flushes;
-      since_flush = 0;
-    }
-    stats_.commit_busy_us += commit_timer.ElapsedMicros();
-  }
-  write_side_.EndCommitBatch();
 }
 
 void TickPipeline::Run(const std::vector<InterrogationJob>& jobs) {
@@ -94,70 +77,44 @@ void TickPipeline::Run(const std::vector<InterrogationJob>& jobs) {
   stats_.jobs += n;
   ++stats_.waves;
 
+  // No worker runs between waves, so plain stores suffice here; Broadcast
+  // publishes them to the workers.
   jobs_ = &jobs;
-  board_.Reset(n);
-
-  if (executor_.thread_count() == 0) {
-    RunSerial(jobs);
-    stats_.wall_us += wall.ElapsedMicros();
-    stats_.worker_busy_us =
-        static_cast<double>(worker_busy_us_.load(std::memory_order_relaxed));
-    jobs_ = nullptr;
-    return;
+  if (slots_.size() < n) slots_ = std::vector<Slot>(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    slots_[i].ready.store(0, std::memory_order_relaxed);
   }
+  next_.store(0, std::memory_order_relaxed);
 
-  closed_.store(false, std::memory_order_relaxed);
-  const std::uint64_t worker_stalls_before =
-      worker_stalls_.load(std::memory_order_relaxed);
-
-  // Workers: drain the ring until it is closed and empty. Each pop is a
-  // pure interrogation staged into a sequence slot; nothing here touches
-  // shared mutable state outside Ring/SlotBoard.
-  const std::function<void(std::size_t)> worker = [this](std::size_t) {
+  // Workers: claim indices until the cursor passes n. Each claim is a pure
+  // interrogation staged into its own slot.
+  const std::function<void(std::size_t)> worker = [this, n](std::size_t) {
     TRACE_SPAN_VAR(wspan, "engine", "pipeline.worker");
     std::uint64_t executed = 0;
-    std::uint32_t index = 0;
-    for (;;) {
-      if (ring_.TryPop(index)) {
-        Execute(index);
-        ++executed;
-        continue;
-      }
-      if (closed_.load(std::memory_order_acquire)) {
-        // The producer is done; one more pop covers items pushed between
-        // our failed pop and the close.
-        if (!ring_.TryPop(index)) break;
-        Execute(index);
-        ++executed;
-        continue;
-      }
-      worker_stalls_.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::yield();
+    double busy_us = 0;
+    for (std::size_t index = next_.fetch_add(1, std::memory_order_relaxed);
+         index < n; index = next_.fetch_add(1, std::memory_order_relaxed)) {
+      busy_us += Execute(index);
+      ++executed;
     }
+    worker_busy_us_.fetch_add(static_cast<std::uint64_t>(busy_us),
+                              std::memory_order_relaxed);
     wspan.SetArg("executed", std::to_string(executed));
   };
-  executor_.Broadcast(worker);
+  executor_.Broadcast(worker);  // no-op with zero workers
 
-  // Command thread: keep the ring topped up, commit published slots
-  // strictly in sequence order (group-committed), and steal a job when the
-  // next slot is not ready — help-or-commit, never idle-wait.
-  std::size_t pushed = 0;
+  // Command thread: commit ready slots strictly in index order
+  // (group-committed), and claim a job when the next slot is not ready —
+  // help-or-commit, never idle-wait.
   std::size_t committed = 0;
   std::uint32_t since_flush = 0;
   write_side_.BeginCommitBatch();
   try {
     TRACE_SPAN_VAR(cspan, "engine", "pipeline.commit");
     while (committed < n) {
-      while (pushed < n &&
-             ring_.TryPush(static_cast<std::uint32_t>(pushed))) {
-        ++pushed;
-      }
-      if (pushed == n && !closed_.load(std::memory_order_relaxed)) {
-        closed_.store(true, std::memory_order_release);
-      }
-      if (board_.Ready(committed)) {
+      if (slots_[committed].ready.load(std::memory_order_acquire) != 0) {
         const metrics::ScopedTimer commit_timer({});
-        Commit(static_cast<std::uint32_t>(committed));
+        Commit(committed);
         ++committed;
         if (++since_flush >= commit_batch_) {
           write_side_.FlushCommitBatch();
@@ -167,9 +124,9 @@ void TickPipeline::Run(const std::vector<InterrogationJob>& jobs) {
         stats_.commit_busy_us += commit_timer.ElapsedMicros();
         continue;
       }
-      std::uint32_t index = 0;
-      if (ring_.TryPop(index)) {
-        Execute(index);
+      const std::size_t index = next_.fetch_add(1, std::memory_order_relaxed);
+      if (index < n) {
+        stats_.help_busy_us += Execute(index);
         ++stats_.help_runs;
       } else {
         ++stats_.commit_stalls;
@@ -180,13 +137,10 @@ void TickPipeline::Run(const std::vector<InterrogationJob>& jobs) {
     cspan.SetArg("helps", std::to_string(stats_.help_runs));
     cspan.SetArg("stalls", std::to_string(stats_.commit_stalls));
   } catch (...) {
-    // Quiesce the workers before unwinding: they only reference jobs_ and
-    // the board, and their remaining work is pure, so letting them drain
-    // is safe — but they must not outlive this frame's references.
-    closed_.store(true, std::memory_order_release);
-    std::uint32_t index = 0;
-    while (ring_.TryPop(index)) {
-    }
+    // Stop handing out work and quiesce the workers before unwinding: they
+    // reference jobs_ and slots_, which must outlive them. Their remaining
+    // work is pure, so abandoning it is safe.
+    next_.store(n, std::memory_order_relaxed);
     try {
       executor_.JoinBroadcast();
     } catch (...) {
@@ -197,10 +151,7 @@ void TickPipeline::Run(const std::vector<InterrogationJob>& jobs) {
   executor_.JoinBroadcast();
   jobs_ = nullptr;
 
-  stats_.worker_stalls +=
-      worker_stalls_.load(std::memory_order_relaxed) - worker_stalls_before;
   stats_.wall_us += wall.ElapsedMicros();
-  // Cumulative Execute time everywhere it ran (workers + help steals).
   stats_.worker_busy_us =
       static_cast<double>(worker_busy_us_.load(std::memory_order_relaxed));
   span.SetArg("helps", std::to_string(stats_.help_runs));

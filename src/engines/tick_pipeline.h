@@ -1,45 +1,48 @@
-// Stages 3-5 of the tick pipeline as an overlapped, lock-free assembly
-// line.
+// Stages 3-5 of the tick pipeline: parallel execute overlapped with an
+// in-order commit on the command thread.
 //
-// The old shape was fork/join: ParallelFor over every job, a barrier, then
-// a serial commit loop — the commit stage was idle while workers ran and
-// the workers were idle while the command thread committed. This pipeline
-// overlaps them:
+//   command thread                    workers (Executor::Broadcast)
+//   --------------                    -----------------------------
+//   commit ready slots in SEQUENCE    claim next_.fetch_add(1) < n,
+//   order (group-committed); when     interrogate (pure), stage the
+//   the next slot is not ready,       result into slots_[i], release-
+//   claim and execute a job itself    set its ready flag
 //
-//   command thread            workers (Executor::Broadcast)
-//   --------------            -----------------------------
-//   push job indices  ---->   pop from lock-free Ring
-//   commit ready slots <----  interrogate (pure), stage result
-//   in SEQUENCE order         into SlotBoard slot, publish
-//   (group-committed)
+// Every job index of a wave is known before the wave starts, so one atomic
+// claim cursor hands out work: workers and the command thread take indices
+// with fetch_add until the cursor passes n. Results land in a flat array of
+// cache-line-aligned slots, one per job, that the command thread drains
+// strictly in index order, group-committing journal appends through
+// WriteSide::BeginCommitBatch. When the head slot is not ready it claims a
+// job and runs it itself ("help") instead of idling. With threads = 0
+// Broadcast is a no-op, so the same loop claims, executes and commits
+// every job inline, in order.
 //
-// The command thread streams indices into a bounded core::Ring, drains
-// SlotBoard slots strictly in sequence order (group-committing journal
-// appends through WriteSide::BeginCommitBatch), and — when the next slot
-// is not ready and the ring still has work — pops a job and runs it
-// itself ("help" steal), so a full ring or a slow worker never idles the
-// committer. Workers exit when the ring is closed and empty.
+// A plain ParallelFor + barrier + commit loop would serialize execute and
+// commit: the command thread commits for most of the pipeline's wall time,
+// so the overlap is what keeps execute off the tick's critical path.
 //
-// Determinism is by construction, same argument as the fork/join version:
-// interrogation is pure (InterrogateDetached), every side effect commits
-// on the command thread in sequence order, and group-commit batch
-// boundaries never change journal content. threads = 0 degenerates to the
-// exact serial order.
+// Determinism is by construction: interrogation is pure
+// (InterrogateDetached), every side effect commits on the command thread
+// in index order, and group-commit batch boundaries never change journal
+// content.
 //
-// Concurrency: Ring and SlotBoard carry all cross-thread communication
-// (acquire/release); `closed_` is release-set by the command thread after
-// the last push. Workers read `jobs_` and the interrogator const-only.
-// There are no mutexes or condition variables on this path (censyslint
-// enforces the absence for src/engines/ and src/interrogate/).
+// Concurrency: the claim cursor `next_` and the per-slot `ready` flags
+// (release store / acquire load) carry all cross-thread communication;
+// slots are reset and the cursor rewound only while no worker runs
+// (Broadcast and JoinBroadcast order them). Workers read `jobs_` and the
+// interrogator const-only. There are no mutexes or condition variables on
+// this path (censyslint enforces the absence for src/engines/ and
+// src/interrogate/).
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "core/executor.h"
-#include "core/ring.h"
 #include "interrogate/interrogator.h"
 #include "pipeline/write_side.h"
 #include "predict/predictive.h"
@@ -73,11 +76,11 @@ struct TickPipelineStats {
   std::uint64_t jobs = 0;
   std::uint64_t waves = 0;         // Run invocations
   std::uint64_t batch_flushes = 0; // group-commit flushes issued
-  std::uint64_t help_runs = 0;     // jobs the command thread stole
+  std::uint64_t help_runs = 0;     // jobs the command thread executed
   std::uint64_t commit_stalls = 0; // yields waiting on an unpublished slot
-  std::uint64_t worker_stalls = 0; // worker yields on an empty open ring
   double wall_us = 0;              // stage 3-5 wall clock
-  double worker_busy_us = 0;       // summed across workers
+  double worker_busy_us = 0;       // Execute time on worker threads
+  double help_busy_us = 0;         // Execute time on the command thread
   double commit_busy_us = 0;       // command-thread commit work
 };
 
@@ -100,7 +103,6 @@ class TickPipeline {
   void ResetStats() {
     stats_ = TickPipelineStats{};
     worker_busy_us_.store(0, std::memory_order_relaxed);
-    worker_stalls_.store(0, std::memory_order_relaxed);
   }
 
  private:
@@ -113,13 +115,20 @@ class TickPipeline {
     bool projected = false;            // fields/hash above are filled in
   };
 
-  // Stage 3 for one job, into its slot; publishes when done. Pure except
-  // for the slot and relaxed stat counters — safe on any thread.
-  void Execute(std::uint32_t index);
+  // One job's staging cell, on its own cache line. Worker-private until
+  // `ready` is release-set; command-thread-owned once an acquire load
+  // observes it.
+  struct alignas(64) Slot {
+    std::atomic<std::uint32_t> ready{0};
+    StagedResult value;
+  };
+
+  // Stage 3 for one job, into its slot; publishes when done and returns
+  // its own run time in microseconds. Pure except for the slot — safe on
+  // any thread.
+  double Execute(std::size_t index);
   // Stage 4+5 for one published slot (command thread only).
-  void Commit(std::uint32_t index);
-  // Serial fallback (threads = 0): execute + commit inline, in order.
-  void RunSerial(const std::vector<InterrogationJob>& jobs);
+  void Commit(std::size_t index);
 
   Executor& executor_;
   interrogate::Interrogator& interrogator_;
@@ -127,16 +136,14 @@ class TickPipeline {
   predict::PredictiveEngine& predictive_;
   const std::uint32_t commit_batch_;
 
-  core::Ring<std::uint32_t> ring_{1024};
-  core::SlotBoard<StagedResult> board_;
-  // No more pushes coming: set (release) by the command thread after the
-  // last TryPush of a wave succeeds.
-  std::atomic<bool> closed_{false};
+  // Grown to the largest wave seen; the first n are reset per wave.
+  std::vector<Slot> slots_;
   const std::vector<InterrogationJob>* jobs_ = nullptr;
+  // Next unclaimed job index; values >= n mean the wave has no work left.
+  alignas(64) std::atomic<std::size_t> next_{0};
 
   TickPipelineStats stats_;
   std::atomic<std::uint64_t> worker_busy_us_{0};
-  std::atomic<std::uint64_t> worker_stalls_{0};
 };
 
 }  // namespace censys::engines

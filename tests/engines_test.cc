@@ -2,15 +2,20 @@
 // evaluation world running end to end on a small universe.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <string>
 #include <tuple>
 #include <unordered_set>
+#include <vector>
 
+#include "core/fault.h"
 #include "core/strings.h"
 #include "engines/evaluation.h"
 #include "engines/world.h"
 #include "pipeline/entity.h"
+#include "storage/journal.h"
+#include "test_tmpdir.h"
 #include "web/attach.h"
 
 namespace censys::engines {
@@ -459,49 +464,97 @@ TEST(WorldDeterminismTest, GroupCommitMatrixMatchesSerialJournalExactly) {
   }
 }
 
+// threads = 0 runs the same claim/execute/commit loop with no workers, so
+// both shapes must report sane pipeline detail; the serial run also pins
+// that the command thread executes every job itself and never waits.
 TEST(TickReportTest, ReportsStageActivityAndMetrics) {
-  WorldConfig cfg = SmallWorld(13);
-  cfg.universe.target_services = 2000;
-  cfg.with_alternatives = false;
-  cfg.censys.threads = 2;
+  for (const int threads : {2, 0}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    WorldConfig cfg = SmallWorld(13);
+    cfg.universe.target_services = 2000;
+    cfg.with_alternatives = false;
+    cfg.censys.threads = threads;
 
-  World world(cfg);
-  world.Bootstrap();
-  world.RunForDays(1);
+    World world(cfg);
+    world.Bootstrap();
+    world.RunForDays(1);
 
-  const TickStats& report = world.censys().TickReport();
-  EXPECT_GT(report.interrogations, 0u);
-  EXPECT_GT(report.total_us, 0.0);
-  EXPECT_GE(report.total_us, report.interrogate_us);
+    const TickStats& report = world.censys().TickReport();
+    EXPECT_GT(report.interrogations, 0u);
+    EXPECT_GT(report.total_us, 0.0);
+    EXPECT_GE(report.total_us, report.interrogate_us);
 
-  // Staged-pipeline detail: the overlapped stages ran, group commit
-  // flushed, and the occupancy fractions are sane (busy time can never
-  // exceed the wall time each stage had available).
-  EXPECT_GT(report.pipeline_jobs, 0u);
-  EXPECT_GT(report.pipeline_waves, 0u);
-  EXPECT_GT(report.batch_flushes, 0u);
-  EXPECT_GT(report.pipeline_wall_us, 0.0);
-  EXPECT_GT(report.worker_busy_us, 0.0);
-  EXPECT_GT(report.commit_busy_us, 0.0);
-  EXPECT_GE(report.worker_occupancy, 0.0);
-  EXPECT_LE(report.worker_occupancy, 1.05);
-  EXPECT_GE(report.commit_occupancy, 0.0);
-  EXPECT_LE(report.commit_occupancy, 1.05);
+    // Staged-pipeline detail: the overlapped stages ran, group commit
+    // flushed, and the occupancy fractions are sane (busy time can never
+    // exceed the wall time each stage had available).
+    EXPECT_GT(report.pipeline_jobs, 0u);
+    EXPECT_GT(report.pipeline_waves, 0u);
+    EXPECT_GT(report.batch_flushes, 0u);
+    EXPECT_GT(report.pipeline_wall_us, 0.0);
+    EXPECT_GT(report.worker_busy_us, 0.0);
+    EXPECT_GT(report.commit_busy_us, 0.0);
+    EXPECT_GE(report.worker_occupancy, 0.0);
+    EXPECT_LE(report.worker_occupancy, 1.05);
+    EXPECT_GE(report.commit_occupancy, 0.0);
+    EXPECT_LE(report.commit_occupancy, 1.05);
+    if (threads == 0) {
+      EXPECT_EQ(report.help_runs, report.pipeline_jobs);
+      EXPECT_EQ(report.commit_stalls, 0u);
+    }
 
-  const metrics::Registry& registry = world.censys().metrics();
-  EXPECT_GT(registry.CounterValue("censys.engine.ticks"), 0u);
-  EXPECT_GT(registry.CounterValue("censys.scan.probes_sent"), 0u);
-  EXPECT_GT(registry.CounterValue("censys.interrogate.attempts"), 0u);
-  EXPECT_GT(registry.CounterValue("censys.pipeline.ingest_scans"), 0u);
-  EXPECT_GT(registry.CounterValue("censys.storage.events"), 0u);
-  EXPECT_EQ(
-      registry.GaugeValue("censys.pipeline.tracked_services"),
-      static_cast<std::int64_t>(world.censys().write_side().tracked_count()));
+    const metrics::Registry& registry = world.censys().metrics();
+    EXPECT_GT(registry.CounterValue("censys.engine.ticks"), 0u);
+    EXPECT_GT(registry.CounterValue("censys.scan.probes_sent"), 0u);
+    EXPECT_GT(registry.CounterValue("censys.interrogate.attempts"), 0u);
+    EXPECT_GT(registry.CounterValue("censys.pipeline.ingest_scans"), 0u);
+    EXPECT_GT(registry.CounterValue("censys.storage.events"), 0u);
+    EXPECT_EQ(registry.GaugeValue("censys.pipeline.tracked_services"),
+              static_cast<std::int64_t>(
+                  world.censys().write_side().tracked_count()));
 
-  const std::string rendered = registry.Render();
-  EXPECT_NE(rendered.find("censys.engine.tick_us"), std::string::npos);
-  EXPECT_NE(rendered.find("censys.interrogate.latency_us"), std::string::npos);
+    const std::string rendered = registry.Render();
+    EXPECT_NE(rendered.find("censys.engine.tick_us"), std::string::npos);
+    EXPECT_NE(rendered.find("censys.interrogate.latency_us"),
+              std::string::npos);
+  }
 }
+
+#if defined(CENSYSIM_FAULT_INJECTION)
+// A WAL failure surfaces on the command thread inside the pipeline's commit
+// loop, possibly while workers still hold claimed jobs. The pipeline must
+// stop handing out work, join the workers and rethrow — never hang — and
+// leave the executor usable.
+TEST(TickPipelineTest, CommitSideWalFailureRethrowsAndLeavesExecutorUsable) {
+  for (const int threads : {0, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    WorldConfig cfg = SmallWorld(21);
+    cfg.universe.target_services = 2000;
+    cfg.with_alternatives = false;
+    cfg.censys.threads = threads;
+    cfg.censys.journal_options.wal.dir =
+        test::ScratchDir("tick_wal_failure_" + std::to_string(threads));
+
+    World world(cfg);
+    world.Bootstrap();
+    world.RunForDays(0.5);  // clean ticks first
+    {
+      const fault::ScopedPlan plan(
+          1, {{.point = "storage.wal.append",
+               .mode = fault::Mode::kErrorReturn}});
+      const Timestamp from = world.now();
+      EXPECT_THROW(world.censys().Tick(from, from + cfg.tick),
+                   storage::WalIoError);
+    }
+
+    std::vector<std::atomic<int>> runs(257);
+    world.censys().executor().ParallelFor(
+        runs.size(), [&](std::size_t i) { runs[i].fetch_add(1); });
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "index " << i;
+    }
+  }
+}
+#endif  // CENSYSIM_FAULT_INJECTION
 
 TEST(AblationTest, TwoPhaseValidationControlsLabelQuality) {
   WorldConfig cfg = SmallWorld(9);

@@ -1,6 +1,6 @@
 // Fixture: a blocking condvar handoff between tick-pipeline stages must
 // be flagged under src/engines/ (and src/interrogate/) — stage handoff
-// streams through the lock-free core::Ring / core::SlotBoard so the
+// streams through an atomic claim cursor and per-slot ready flags so the
 // commit thread helps execute jobs instead of sleeping on a signal.
 #include <condition_variable>
 
