@@ -50,10 +50,11 @@ run_plain() {
 
 # The sanitizer-relevant subset: every test that spawns threads, plus the
 # engine determinism checks that exercise the parallel executor, plus the
-# WAL crash-recovery torture loop (fault unwinding + POSIX I/O under ASan).
+# WAL crash-recovery torture loop (fault unwinding + POSIX I/O under ASan),
+# plus the seeded frame-decoder mutation test (no read out of bounds).
 SAN_TESTS=(
   "serving_test:"
-  "storage_test:JournalConcurrencyTest.*:Wal*"
+  "storage_test:JournalConcurrencyTest.*:Wal*:FrameCodecTest.*:DurableFileTest.*"
   "pipeline_test:ReadSideTest.LookupsRunConcurrentlyWithIngest"
   "search_test:IndexConcurrencyTest.*"
   "engines_test:WorldDeterminismTest.Parallel*:WorldDeterminismTest.GroupCommit*:TickPipelineTest.*:TickReportTest.*"

@@ -36,7 +36,9 @@
 // disarmed, a hit is one relaxed atomic load.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -135,6 +137,25 @@ inline std::optional<Fault> Hit(std::string_view point) {
 #else
 inline std::optional<Fault> Hit(std::string_view) { return std::nullopt; }
 #endif
+
+// The byte arithmetic injection sites share, so every site damages its
+// buffer by the same rule.
+//
+// kBitFlip: flips bit `bit % (n * 8)` of the n > 0 bytes at `p` and
+// returns that bit's index.
+inline std::size_t FlipBit(char* p, std::size_t n, std::uint64_t bit) {
+  const std::size_t index = bit % (n * 8);
+  p[index / 8] ^= static_cast<char>(1u << (index % 8));
+  return index;
+}
+
+// kTornWrite: how many of an n-byte write's bytes land before the tear —
+// `frac` of them, at least one, and (for n > 1) never all of them.
+inline std::size_t TornLength(std::size_t n, double frac) {
+  return std::clamp<std::size_t>(
+      static_cast<std::size_t>(frac * static_cast<double>(n)), 1,
+      n > 1 ? n - 1 : 1);
+}
 
 // RAII arming for tests: arms the global injector on construction,
 // disarms on destruction.

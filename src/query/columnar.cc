@@ -6,7 +6,7 @@
 
 #include "core/strings.h"
 #include "core/trace.h"
-#include "storage/segment_file.h"
+#include "storage/frame.h"
 #include "storage/serialize.h"
 
 namespace censys::query {

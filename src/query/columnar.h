@@ -28,8 +28,8 @@
 // anything else, plus trailing bytes, out-of-range ids, and unsorted
 // rows, so a corrupt-but-CRC-passing payload can never mis-aggregate.
 //
-// On disk each segment is one storage::WriteSegmentFile blob
-// (CRC-framed, tmp+rename — crash-safe like checkpoints). A segment
+// On disk each segment is one storage::WriteSegmentFile blob: a single
+// CRC frame (storage/frame.h), written tmp+fsync+rename like checkpoints. A segment
 // that fails its CRC or its structural validation is counted in
 // censys.query.segment_corrupt and the query falls back to the live
 // journal walk: slower, never wrong.

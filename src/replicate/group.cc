@@ -131,8 +131,8 @@ bool ReplicationGroup::PumpFollower(std::size_t i, std::string* error) {
         return true;
       case fault::Mode::kBitFlip: {
         if (!shipment.frames.empty()) {
-          const std::size_t bit = fault->bit % (shipment.frames.size() * 8);
-          shipment.frames[bit / 8] ^= static_cast<char>(1u << (bit % 8));
+          fault::FlipBit(shipment.frames.data(), shipment.frames.size(),
+                         fault->bit);
         }
         ++corrupted_;
         corrupted_metric_.Add();
@@ -141,12 +141,8 @@ bool ReplicationGroup::PumpFollower(std::size_t i, std::string* error) {
       case fault::Mode::kTornWrite: {
         // Truncate mid-frame: at least one byte survives, at least one is
         // dropped, so the decoder sees a torn tail.
-        const std::size_t keep = std::clamp<std::size_t>(
-            static_cast<std::size_t>(
-                fault->tear_frac *
-                static_cast<double>(shipment.frames.size())),
-            1, shipment.frames.empty() ? 1 : shipment.frames.size() - 1);
-        shipment.frames.resize(keep);
+        shipment.frames.resize(
+            fault::TornLength(shipment.frames.size(), fault->tear_frac));
         ++corrupted_;
         corrupted_metric_.Add();
         break;

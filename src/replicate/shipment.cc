@@ -1,28 +1,8 @@
 #include "replicate/shipment.h"
 
-#include "core/crc32c.h"
+#include "storage/frame.h"
 
 namespace censys::replicate {
-namespace {
-
-constexpr std::size_t kFrameHeader = 8;  // u32 len + u32 crc
-
-void PutU32Le(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-  out.push_back(static_cast<char>((v >> 16) & 0xFF));
-  out.push_back(static_cast<char>((v >> 24) & 0xFF));
-}
-
-std::uint32_t GetU32Le(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<std::uint32_t>(b[0]) |
-         (static_cast<std::uint32_t>(b[1]) << 8) |
-         (static_cast<std::uint32_t>(b[2]) << 16) |
-         (static_cast<std::uint32_t>(b[3]) << 24);
-}
-
-}  // namespace
 
 Shipment EncodeShipment(std::uint64_t prev_lsn,
                         const std::vector<storage::WalRecord>& records) {
@@ -30,10 +10,7 @@ Shipment EncodeShipment(std::uint64_t prev_lsn,
   shipment.prev_lsn = prev_lsn;
   shipment.last_lsn = records.empty() ? prev_lsn : records.back().lsn;
   for (const storage::WalRecord& record : records) {
-    const std::string payload = storage::EncodeWalPayload(record);
-    PutU32Le(shipment.frames, static_cast<std::uint32_t>(payload.size()));
-    PutU32Le(shipment.frames, core::Crc32c(payload));
-    shipment.frames.append(payload);
+    storage::AppendFrame(shipment.frames, storage::EncodeWalPayload(record));
   }
   return shipment;
 }
@@ -42,22 +19,22 @@ DecodedShipment DecodeShipment(const Shipment& shipment) {
   DecodedShipment decoded;
   const std::string& data = shipment.frames;
   std::size_t offset = 0;
-  while (offset + kFrameHeader <= data.size()) {
-    const std::uint32_t len = GetU32Le(data.data() + offset);
-    const std::uint32_t crc = GetU32Le(data.data() + offset + 4);
-    if (offset + kFrameHeader + len > data.size()) break;  // torn tail
-    const std::string_view payload(data.data() + offset + kFrameHeader, len);
-    if (core::Crc32c(payload) != crc) {
-      ++decoded.corrupt_frames;
+  for (;;) {
+    std::size_t next = offset;
+    const storage::Frame frame = storage::NextFrame(data, &next);
+    if (frame.status == storage::FrameStatus::kEnd ||
+        frame.status == storage::FrameStatus::kTorn) {
       break;
     }
-    const auto record = storage::DecodeWalPayload(payload);
+    const auto record = frame.status == storage::FrameStatus::kOk
+                            ? storage::DecodeWalPayload(frame.payload)
+                            : std::nullopt;
     if (!record.has_value()) {
       ++decoded.corrupt_frames;
       break;
     }
     decoded.records.push_back(*record);
-    offset += kFrameHeader + len;
+    offset = next;
   }
   decoded.truncated_bytes += data.size() - offset;
   return decoded;

@@ -1,8 +1,8 @@
 // WAL shipment wire format (leader -> follower).
 //
-// A shipment is one contiguous run of leader WAL records, re-framed with
-// the same [u32 len][u32 crc32c(payload)][payload] layout the on-disk log
-// uses, covering (prev_lsn, last_lsn]. The frames travel a simulated link
+// A shipment is one contiguous run of leader WAL records, re-framed
+// exactly as the on-disk log frames them (storage/frame.h), covering
+// (prev_lsn, last_lsn]. The frames travel a simulated link
 // that can lose, reorder, corrupt, or truncate them ("replicate.ship"
 // fault point, armed by the chaos tests), so the decoder validates every
 // frame and stops at the first torn or corrupt one — the valid prefix is

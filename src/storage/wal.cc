@@ -10,9 +10,9 @@
 #include <filesystem>
 #include <limits>
 
-#include "core/crc32c.h"
 #include "core/fault.h"
 #include "core/trace.h"
+#include "storage/frame.h"
 #include "storage/serialize.h"
 
 namespace censys::storage {
@@ -25,58 +25,8 @@ constexpr char kSegmentSuffix[] = ".log";
 constexpr char kCheckpointPrefix[] = "ckpt-";
 constexpr char kCheckpointSuffix[] = ".snap";
 constexpr char kCheckpointMagic[8] = {'C', 'S', 'Y', 'S', 'C', 'K', 'P', 'T'};
-constexpr std::size_t kFrameHeader = 8;  // u32 len + u32 crc
-
-void PutU32Le(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-  out.push_back(static_cast<char>((v >> 16) & 0xFF));
-  out.push_back(static_cast<char>((v >> 24) & 0xFF));
-}
-
-std::uint32_t GetU32Le(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<std::uint32_t>(b[0]) |
-         (static_cast<std::uint32_t>(b[1]) << 8) |
-         (static_cast<std::uint32_t>(b[2]) << 16) |
-         (static_cast<std::uint32_t>(b[3]) << 24);
-}
-
-std::string Frame(std::string_view payload) {
-  std::string frame;
-  frame.reserve(kFrameHeader + payload.size());
-  PutU32Le(frame, static_cast<std::uint32_t>(payload.size()));
-  PutU32Le(frame, core::Crc32c(payload));
-  frame.append(payload);
-  return frame;
-}
-
 void SetError(std::string* error, std::string message) {
   if (error != nullptr) *error = std::move(message);
-}
-
-// Reads a whole file; returns false on open/read failure.
-bool ReadFile(const std::string& path, std::string* out, std::string* error) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    SetError(error, path + ": " + std::strerror(errno));
-    return false;
-  }
-  out->clear();
-  char buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      SetError(error, path + ": " + std::strerror(errno));
-      ::close(fd);
-      return false;
-    }
-    if (n == 0) break;
-    out->append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return true;
 }
 
 }  // namespace
@@ -182,10 +132,13 @@ bool WriteAheadLog::ScanSegment(
 
   std::size_t offset = 0;
   bool corrupt = false;
-  while (offset + kFrameHeader <= data.size()) {
-    const std::uint32_t len = GetU32Le(data.data() + offset);
-    const std::uint32_t stored_crc = GetU32Le(data.data() + offset + 4);
-    if (offset + kFrameHeader + len > data.size()) break;  // torn tail
+  for (;;) {
+    std::size_t next = offset;
+    Frame frame = NextFrame(data, &next);
+    if (frame.status == FrameStatus::kEnd ||
+        frame.status == FrameStatus::kTorn) {
+      break;
+    }
 
     // The read-path injection point: a fault here simulates media errors
     // on this record's bytes.
@@ -199,37 +152,34 @@ bool WriteAheadLog::ScanSegment(
           corrupt = true;
           break;
         default: {
-          // Any corruption mode: one bit of this record's bytes flips.
-          const std::size_t span = (kFrameHeader + len) * 8;
-          const std::size_t bit = fault->bit % span;
-          data[offset + bit / 8] ^= static_cast<char>(1u << (bit % 8));
+          // Any corruption mode: one bit of this record's bytes flips. A
+          // flipped header bit always cuts the log (the length or CRC no
+          // longer matches what was read); a flipped payload bit is
+          // judged by the CRC.
+          const std::size_t bit =
+              fault::FlipBit(&data[offset], frame.size, fault->bit);
+          if (bit < FrameSize(0) * 8) {
+            corrupt = true;
+            break;
+          }
+          next = offset;
+          frame = NextFrame(data, &next);
           break;
         }
       }
       if (corrupt) break;
     }
 
-    // Re-read the header: a bit flip may have landed in it.
-    const std::uint32_t len2 = GetU32Le(data.data() + offset);
-    const std::uint32_t crc2 = GetU32Le(data.data() + offset + 4);
-    if (len2 != len || offset + kFrameHeader + len2 > data.size()) {
-      corrupt = true;
-      break;
-    }
-    const std::string_view payload(data.data() + offset + kFrameHeader, len2);
-    if (core::Crc32c(payload) != crc2 ||
-        (crc2 != stored_crc && core::Crc32c(payload) != stored_crc)) {
-      corrupt = true;
-      break;
-    }
-    const auto record = DecodeWalPayload(payload);
+    const auto record = frame.status == FrameStatus::kOk
+                            ? DecodeWalPayload(frame.payload)
+                            : std::nullopt;
     if (!record.has_value()) {
       corrupt = true;
       break;
     }
     if (visit) visit(*record);
     if (stats != nullptr) ++stats->records;
-    offset += kFrameHeader + len2;
+    offset = next;
   }
 
   const std::uint64_t file_size = data.size();
@@ -336,22 +286,6 @@ bool WriteAheadLog::OpenLocked(std::string* error) {
   return true;
 }
 
-bool WriteAheadLog::WriteAllLocked(const void* data, std::size_t n,
-                                   std::string* error) {
-  const char* p = static_cast<const char*>(data);
-  while (n > 0) {
-    const ssize_t written = ::write(fd_, p, n);
-    if (written < 0) {
-      if (errno == EINTR) continue;
-      SetError(error, std::string("wal write: ") + std::strerror(errno));
-      return false;
-    }
-    p += written;
-    n -= static_cast<std::size_t>(written);
-  }
-  return true;
-}
-
 bool WriteAheadLog::SyncLocked(std::string* error) {
   TRACE_SPAN("storage", "wal.fsync");
   if (const auto fault = fault::Hit("storage.wal.fsync")) {
@@ -394,67 +328,7 @@ bool WriteAheadLog::RotateLocked(std::string* error) {
 bool WriteAheadLog::Append(WalRecord& record, std::string* error) {
   TRACE_SPAN("storage", "wal.append");
   const core::MutexLock lock(mu_);
-  if (!opened_ && !OpenLocked(error)) return false;
-
-  record.lsn = next_lsn_.load(std::memory_order_relaxed);
-  std::string frame = Frame(EncodeWalPayload(record));
-
-  if (const auto fault = fault::Hit("storage.wal.append")) {
-    switch (fault->mode) {
-      case fault::Mode::kErrorReturn:
-      default:
-        SetError(error, "wal append: injected failure");
-        return false;
-      case fault::Mode::kCrash:
-        throw fault::CrashException{"storage.wal.append"};
-      case fault::Mode::kTornWrite: {
-        // A prefix of the frame reaches the medium, then the process
-        // dies. Recovery must drop this record.
-        const std::size_t torn = std::clamp<std::size_t>(
-            static_cast<std::size_t>(fault->tear_frac *
-                                     static_cast<double>(frame.size())),
-            1, frame.size() - 1);
-        std::string ignored;
-        WriteAllLocked(frame.data(), torn, &ignored);
-        throw fault::CrashException{"storage.wal.append"};
-      }
-      case fault::Mode::kBitFlip: {
-        // Silent corruption on the way to the medium; CRC validation
-        // catches it at recovery time.
-        const std::size_t bit = fault->bit % (frame.size() * 8);
-        frame[bit / 8] ^= static_cast<char>(1u << (bit % 8));
-        break;
-      }
-    }
-  }
-
-  if (segment_offset_ > 0 &&
-      segment_offset_ + frame.size() > options_.segment_bytes) {
-    if (!RotateLocked(error)) return false;
-  }
-  if (!WriteAllLocked(frame.data(), frame.size(), error)) return false;
-  segment_offset_ += frame.size();
-  if (segments_.back().first_lsn == 0) {
-    segments_.back().first_lsn = record.lsn;
-  }
-  if (options_.fsync_each) {
-    if (!SyncLocked(error)) {
-      // The bytes may or may not be durable; withdraw them so the
-      // in-memory journal (which will not apply this event) and the log
-      // cannot diverge.
-      segment_offset_ -= frame.size();
-      ::ftruncate(fd_, static_cast<off_t>(segment_offset_));
-      ::lseek(fd_, static_cast<off_t>(segment_offset_), SEEK_SET);
-      return false;
-    }
-  }
-
-  next_lsn_.fetch_add(1, std::memory_order_relaxed);
-  appended_records_.fetch_add(1, std::memory_order_relaxed);
-  appended_bytes_.fetch_add(frame.size(), std::memory_order_relaxed);
-  appends_metric_.Add();
-  bytes_metric_.Add(frame.size());
-  return true;
+  return AppendLocked(std::span<WalRecord>(&record, 1), error);
 }
 
 bool WriteAheadLog::AppendBatch(std::vector<WalRecord>& records,
@@ -463,9 +337,17 @@ bool WriteAheadLog::AppendBatch(std::vector<WalRecord>& records,
   TRACE_SPAN_VAR(span, "storage", "wal.append_batch");
   span.SetArg("records", std::to_string(records.size()));
   const core::MutexLock lock(mu_);
+  if (!AppendLocked(records, error)) return false;
+  batch_appends_.fetch_add(1, std::memory_order_relaxed);
+  batch_appends_metric_.Add();
+  return true;
+}
+
+bool WriteAheadLog::AppendLocked(std::span<WalRecord> records,
+                                 std::string* error) {
   if (!opened_ && !OpenLocked(error)) return false;
 
-  // Frame the whole batch first. Fault points fire per record, exactly as
+  // Frame every record first. Fault points fire per record, exactly as
   // they would for N serial Appends: an error-return rejects the batch
   // before a single byte is written (nothing durable, nothing applied); a
   // crash/torn-write loses at most the batch's buffered tail, which
@@ -474,7 +356,8 @@ bool WriteAheadLog::AppendBatch(std::vector<WalRecord>& records,
   std::string buffer;
   for (std::size_t i = 0; i < records.size(); ++i) {
     records[i].lsn = first_lsn + i;
-    std::string frame = Frame(EncodeWalPayload(records[i]));
+    const std::size_t start = buffer.size();
+    AppendFrame(buffer, EncodeWalPayload(records[i]));
     if (const auto fault = fault::Hit("storage.wal.append")) {
       switch (fault->mode) {
         case fault::Mode::kErrorReturn:
@@ -484,32 +367,29 @@ bool WriteAheadLog::AppendBatch(std::vector<WalRecord>& records,
         case fault::Mode::kCrash:
           throw fault::CrashException{"storage.wal.append"};
         case fault::Mode::kTornWrite: {
-          // The batch dies mid-flight: everything buffered so far plus a
-          // prefix of this frame reaches the medium.
-          buffer += frame.substr(
-              0, std::clamp<std::size_t>(
-                     static_cast<std::size_t>(
-                         fault->tear_frac * static_cast<double>(frame.size())),
-                     1, frame.size() - 1));
+          // The write dies mid-flight: everything framed before this
+          // record plus a prefix of its frame reaches the medium, then the
+          // process dies. Recovery must drop the partial record.
+          buffer.resize(start + fault::TornLength(buffer.size() - start,
+                                                  fault->tear_frac));
           std::string ignored;
-          WriteAllLocked(buffer.data(), buffer.size(), &ignored);
+          WriteAll(fd_, buffer, &ignored);
           throw fault::CrashException{"storage.wal.append"};
         }
-        case fault::Mode::kBitFlip: {
-          const std::size_t bit = fault->bit % (frame.size() * 8);
-          frame[bit / 8] ^= static_cast<char>(1u << (bit % 8));
+        case fault::Mode::kBitFlip:
+          // Silent corruption on the way to the medium; CRC validation
+          // catches it at recovery time.
+          fault::FlipBit(&buffer[start], buffer.size() - start, fault->bit);
           break;
-        }
       }
     }
-    buffer += frame;
   }
 
   if (segment_offset_ > 0 &&
       segment_offset_ + buffer.size() > options_.segment_bytes) {
     if (!RotateLocked(error)) return false;
   }
-  if (!WriteAllLocked(buffer.data(), buffer.size(), error)) return false;
+  if (!WriteAll(fd_, buffer, error)) return false;
   segment_offset_ += buffer.size();
   if (segments_.back().first_lsn == 0) {
     segments_.back().first_lsn = first_lsn;
@@ -517,6 +397,9 @@ bool WriteAheadLog::AppendBatch(std::vector<WalRecord>& records,
   if (options_.fsync_each) {
     // One fsync for the whole batch — the point of group commit.
     if (!SyncLocked(error)) {
+      // The bytes may or may not be durable; withdraw them so the
+      // in-memory journal (which will not apply these events) and the
+      // log cannot diverge.
       segment_offset_ -= buffer.size();
       ::ftruncate(fd_, static_cast<off_t>(segment_offset_));
       ::lseek(fd_, static_cast<off_t>(segment_offset_), SEEK_SET);
@@ -527,10 +410,8 @@ bool WriteAheadLog::AppendBatch(std::vector<WalRecord>& records,
   next_lsn_.fetch_add(records.size(), std::memory_order_relaxed);
   appended_records_.fetch_add(records.size(), std::memory_order_relaxed);
   appended_bytes_.fetch_add(buffer.size(), std::memory_order_relaxed);
-  batch_appends_.fetch_add(1, std::memory_order_relaxed);
   appends_metric_.Add(records.size());
   bytes_metric_.Add(buffer.size());
-  batch_appends_metric_.Add();
   return true;
 }
 
@@ -636,12 +517,9 @@ bool WriteAheadLog::WriteCheckpoint(std::uint64_t lsn,
   // before the checkpoint can supersede it.
   if (!SyncLocked(error)) return false;
 
-  std::string file;
-  file.reserve(sizeof(kCheckpointMagic) + kFrameHeader + payload.size());
-  file.append(kCheckpointMagic, sizeof(kCheckpointMagic));
-  PutU32Le(file, static_cast<std::uint32_t>(payload.size()));
-  PutU32Le(file, core::Crc32c(payload));
-  file.append(payload);
+  std::string file(kCheckpointMagic, sizeof(kCheckpointMagic));
+  AppendFrame(file, payload);
+  const std::string final_path = CheckpointPath(lsn);
 
   if (const auto fault = fault::Hit("storage.wal.append")) {
     switch (fault->mode) {
@@ -653,75 +531,44 @@ bool WriteAheadLog::WriteCheckpoint(std::uint64_t lsn,
         throw fault::CrashException{"storage.wal.append"};
       case fault::Mode::kTornWrite: {
         // Die with a partial temp file on disk; recovery ignores *.tmp.
-        const std::string tmp = CheckpointPath(lsn) + ".tmp";
+        const std::string tmp = final_path + ".tmp";
         const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
                               0644);
         if (fd >= 0) {
-          const std::size_t torn = std::clamp<std::size_t>(
-              static_cast<std::size_t>(fault->tear_frac *
-                                       static_cast<double>(file.size())),
-              1, file.size() - 1);
-          [[maybe_unused]] const ssize_t n = ::write(fd, file.data(), torn);
+          std::string ignored;
+          WriteAll(fd,
+                   std::string_view(file).substr(
+                       0, fault::TornLength(file.size(), fault->tear_frac)),
+                   &ignored);
           ::close(fd);
         }
         throw fault::CrashException{"storage.wal.append"};
       }
-      case fault::Mode::kBitFlip: {
-        const std::size_t bit =
-            fault->bit % ((file.size() - sizeof(kCheckpointMagic)) * 8);
-        file[sizeof(kCheckpointMagic) + bit / 8] ^=
-            static_cast<char>(1u << (bit % 8));
+      case fault::Mode::kBitFlip:
+        fault::FlipBit(&file[sizeof(kCheckpointMagic)],
+                       file.size() - sizeof(kCheckpointMagic), fault->bit);
         break;
-      }
     }
   }
-
-  const std::string tmp = CheckpointPath(lsn) + ".tmp";
-  const std::string final_path = CheckpointPath(lsn);
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    SetError(error, tmp + ": " + std::strerror(errno));
-    return false;
-  }
-  const char* p = file.data();
-  std::size_t n = file.size();
-  while (n > 0) {
-    const ssize_t written = ::write(fd, p, n);
-    if (written < 0) {
-      if (errno == EINTR) continue;
-      SetError(error, tmp + ": " + std::strerror(errno));
-      ::close(fd);
-      return false;
-    }
-    p += written;
-    n -= static_cast<std::size_t>(written);
-  }
+  // The checkpoint's own fsync point fires before the file is written, so
+  // a failed checkpoint leaves neither a tmp file nor a new checkpoint.
   if (const auto fault = fault::Hit("storage.wal.fsync")) {
     if (fault->mode == fault::Mode::kCrash) {
-      ::close(fd);
       throw fault::CrashException{"storage.wal.fsync"};
     }
     SetError(error, "wal checkpoint fsync: injected failure");
-    ::close(fd);
     return false;
   }
-  ::fsync(fd);
-  ::close(fd);
+  if (!WriteFileAtomically(final_path, file, error)) return false;
   fsyncs_.fetch_add(1, std::memory_order_relaxed);
   fsyncs_metric_.Add();
-
-  std::error_code ec;
-  fs::rename(tmp, final_path, ec);
-  if (ec) {
-    SetError(error, final_path + ": " + ec.message());
-    return false;
-  }
   checkpoints_written_.fetch_add(1, std::memory_order_relaxed);
   checkpoints_metric_.Add();
 
   // Prune old checkpoints beyond the retention count, then drop segments
   // the new checkpoint fully covers ("snapshots bound replay").
   std::vector<std::uint64_t> lsns = ListCheckpoints();
+  std::error_code ec;
   for (std::size_t i = options_.keep_checkpoints; i < lsns.size(); ++i) {
     fs::remove(CheckpointPath(lsns[i]), ec);
   }
@@ -768,9 +615,8 @@ std::vector<std::uint64_t> WriteAheadLog::ListCheckpoints() const {
 std::optional<std::string> WriteAheadLog::ReadCheckpoint(
     std::uint64_t lsn) const {
   std::string data;
-  std::string error;
-  if (!ReadFile(CheckpointPath(lsn), &data, &error)) return std::nullopt;
-  if (data.size() < sizeof(kCheckpointMagic) + kFrameHeader) {
+  if (!ReadFile(CheckpointPath(lsn), &data, nullptr)) return std::nullopt;
+  if (data.size() < sizeof(kCheckpointMagic) + FrameSize(0)) {
     return std::nullopt;
   }
   if (const auto fault = fault::Hit("storage.wal.read")) {
@@ -779,27 +625,24 @@ std::optional<std::string> WriteAheadLog::ReadCheckpoint(
         throw fault::CrashException{"storage.wal.read"};
       case fault::Mode::kErrorReturn:
         return std::nullopt;
-      default: {
-        const std::size_t bit = fault->bit % (data.size() * 8);
-        data[bit / 8] ^= static_cast<char>(1u << (bit % 8));
+      default:
+        fault::FlipBit(data.data(), data.size(), fault->bit);
         break;
-      }
     }
   }
   if (std::memcmp(data.data(), kCheckpointMagic, sizeof(kCheckpointMagic)) !=
       0) {
     return std::nullopt;
   }
-  const std::uint32_t len = GetU32Le(data.data() + sizeof(kCheckpointMagic));
-  const std::uint32_t crc =
-      GetU32Le(data.data() + sizeof(kCheckpointMagic) + 4);
-  if (sizeof(kCheckpointMagic) + kFrameHeader + len != data.size()) {
+  // Exactly one valid frame follows the magic.
+  const std::string_view body =
+      std::string_view(data).substr(sizeof(kCheckpointMagic));
+  std::size_t offset = 0;
+  const Frame frame = NextFrame(body, &offset);
+  if (frame.status != FrameStatus::kOk || offset != body.size()) {
     return std::nullopt;
   }
-  std::string payload =
-      data.substr(sizeof(kCheckpointMagic) + kFrameHeader, len);
-  if (core::Crc32c(payload) != crc) return std::nullopt;
-  return payload;
+  return std::string(frame.payload);
 }
 
 }  // namespace censys::storage

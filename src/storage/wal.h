@@ -3,8 +3,8 @@
 //
 // The in-memory EventJournal is the paper's Bigtable stand-in; this WAL is
 // what makes a crash survivable: every journaled event is first appended
-// here as a length-prefixed, CRC32C-checksummed record in a rotating
-// sequence of segment files, and EventJournal::Recover() rebuilds a
+// here as one CRC32C frame (storage/frame.h) in a rotating sequence of
+// segment files, and EventJournal::Recover() rebuilds a
 // byte-identical journal from (latest valid checkpoint) + (WAL tail
 // replay). Recovery is tolerant by construction — a torn or corrupt
 // record truncates the log at that point instead of aborting, so the
@@ -15,13 +15,13 @@
 //   wal-00000000.log            segment 0
 //   wal-00000001.log            segment 1 (rotated at ~segment_bytes)
 //   ...
-//   ckpt-<lsn 20 digits>.snap   full-state checkpoints (tmp+rename)
+//   ckpt-<lsn 20 digits>.snap   full-state checkpoints: magic "CSYSCKPT"
+//                               + one frame, written tmp+fsync+rename
 //
-// Record framing (all integers little-endian):
+// Each record is one frame (layout: storage/frame.h) whose payload is
 //
-//   [u32 payload_len][u32 crc32c(payload)][payload]
-//   payload := varint lsn | u8 kind | varint at_minutes
-//              | lp(entity_id) | lp(delta_encoding)
+//   varint lsn | u8 kind | varint at_minutes | lp(entity_id)
+//   | lp(delta_encoding)
 //
 // LSNs are assigned contiguously from 1 by Append; a checkpoint file
 // carries the LSN it covers, so replay starts strictly after it.
@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -224,7 +225,11 @@ class WriteAheadLog {
   bool OpenLocked(std::string* error) CENSYS_REQUIRES(mu_);
   bool RotateLocked(std::string* error) CENSYS_REQUIRES(mu_);
   bool SyncLocked(std::string* error) CENSYS_REQUIRES(mu_);
-  bool WriteAllLocked(const void* data, std::size_t n, std::string* error)
+  // The locked core of Append and AppendBatch: frames `records` with
+  // contiguous LSNs, rotates when they would overflow the active segment,
+  // writes them in one write, and (fsync_each) withdraws them again when
+  // the fsync fails. The wrappers add their own span and batch counters.
+  bool AppendLocked(std::span<WalRecord> records, std::string* error)
       CENSYS_REQUIRES(mu_);
   // Scans one segment file, delivering valid records. With `truncate`
   // set (the recovery paths), the file is cut back to the last whole

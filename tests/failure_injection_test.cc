@@ -332,6 +332,41 @@ TEST(WalFaultTest, CrashMidCheckpointFallsBackToOlderState) {
   EXPECT_EQ(JournalDigest(recovered), want);
 }
 
+// A checkpoint whose own fsync fails must leave the directory as it found
+// it: no stray ckpt-*.snap.tmp, no new checkpoint, and the log it would
+// have covered still on disk, so recovery lands on the prior checkpoint
+// plus its tail. (The first storage.wal.fsync hit is the log sync that
+// precedes every checkpoint; the second is the checkpoint's own.)
+TEST(WalFaultTest, FailedCheckpointLeavesNoTempFile) {
+  const std::string dir = ScratchDir("ckpt_fsync_fail");
+  storage::EventJournal journal(DurableOptions(dir));
+  std::string error;
+  for (int i = 0; i < 60; ++i) ApplyOp(journal, i);
+  ASSERT_TRUE(journal.Checkpoint(&error).has_value()) << error;
+  for (int i = 60; i < 100; ++i) ApplyOp(journal, i);
+  const std::uint64_t want = JournalDigest(journal);
+
+  {
+    fault::ScopedPlan plan(5, {{.point = "storage.wal.fsync",
+                                .mode = fault::Mode::kErrorReturn,
+                                .skip_hits = 1}});
+    EXPECT_FALSE(journal.Checkpoint(&error).has_value());
+    EXPECT_EQ(fault::Injector::Global().fires("storage.wal.fsync"), 1u);
+  }
+  std::size_t tmp_files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".tmp") ++tmp_files;
+  }
+  EXPECT_EQ(tmp_files, 0u);
+
+  storage::EventJournal recovered(DurableOptions(dir));
+  const storage::RecoveryReport report = recovered.Recover();
+  ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_EQ(report.checkpoint_lsn, 60u);
+  EXPECT_EQ(report.replayed_records, 40u);
+  EXPECT_EQ(JournalDigest(recovered), want);
+}
+
 // The headline torture loop: for each seed, run the deterministic
 // 300-op script against a WAL-backed journal while a fault plan kills
 // the "process" (CrashException) at seed-chosen appends — sometimes

@@ -36,8 +36,8 @@
 #include "serving/frontend.h"
 #include "simnet/blocks.h"
 #include "storage/delta.h"
+#include "storage/frame.h"
 #include "storage/journal.h"
-#include "storage/segment_file.h"
 #include "test_tmpdir.h"
 
 namespace censys::query {

@@ -4,15 +4,20 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <thread>
 #include <vector>
 
+#include "core/rng.h"
 #include "core/strings.h"
 #include "storage/delta.h"
+#include "storage/frame.h"
 #include "storage/journal.h"
 #include "storage/kv.h"
 #include "storage/serialize.h"
@@ -790,6 +795,200 @@ TEST(WalJournalTest, RecoverFallsBackPastCorruptCheckpoint) {
   EXPECT_EQ(report.checkpoints_rejected, 1u);
   EXPECT_EQ(report.checkpoint_lsn, 60u);  // fell back to the older one
   EXPECT_EQ(JournalDigest(recovered), digest);
+}
+
+// ------------------------------------------------------------ frame codec
+
+std::vector<std::string> RandomPayloads(Rng& rng, int count) {
+  std::vector<std::string> payloads;
+  for (int i = 0; i < count; ++i) {
+    std::string payload(rng.NextBelow(48), '\0');
+    for (char& c : payload) c = static_cast<char>(rng.NextBelow(256));
+    payloads.push_back(std::move(payload));
+  }
+  return payloads;
+}
+
+// Walks `data` with NextFrame; returns the payloads of the valid prefix
+// and the status that ended it. `data` lives in an exactly-sized heap
+// block so a read past its end is an ASan error, not a stray byte of
+// string capacity.
+std::vector<std::string> DecodeAll(std::string_view bytes,
+                                   FrameStatus* last) {
+  const auto block = std::make_unique<char[]>(bytes.size());
+  std::memcpy(block.get(), bytes.data(), bytes.size());
+  const std::string_view data(block.get(), bytes.size());
+  std::vector<std::string> payloads;
+  std::size_t offset = 0;
+  for (;;) {
+    const std::size_t before = offset;
+    const Frame frame = NextFrame(data, &offset);
+    *last = frame.status;
+    if (frame.status != FrameStatus::kOk) {
+      EXPECT_EQ(offset, before);
+      EXPECT_EQ(frame.status == FrameStatus::kEnd, offset == data.size());
+      return payloads;
+    }
+    EXPECT_EQ(offset, before + frame.size);
+    payloads.emplace_back(frame.payload);
+  }
+}
+
+TEST(FrameCodecTest, RoundTripsBackToBackFrames) {
+  Rng rng(11);
+  std::vector<std::string> payloads = RandomPayloads(rng, 20);
+  payloads.push_back("");  // an empty payload is still one whole frame
+  std::string stream;
+  std::size_t expected_size = 0;
+  for (const std::string& payload : payloads) {
+    AppendFrame(stream, payload);
+    expected_size += FrameSize(payload.size());
+  }
+  EXPECT_EQ(stream.size(), expected_size);
+
+  FrameStatus last = FrameStatus::kOk;
+  EXPECT_EQ(DecodeAll(stream, &last), payloads);
+  EXPECT_EQ(last, FrameStatus::kEnd);
+  EXPECT_EQ(DecodeAll("", &last).size(), 0u);
+  EXPECT_EQ(last, FrameStatus::kEnd);
+}
+
+TEST(FrameCodecTest, PinsTheLayout) {
+  std::string frame;
+  AppendFrame(frame, "123456789");
+  // u32 len = 9, u32 crc32c("123456789") = 0xE3069283, both little-endian.
+  EXPECT_EQ(frame, std::string("\x09\x00\x00\x00\x83\x92\x06\xE3", 8) +
+                       "123456789");
+}
+
+TEST(FrameCodecTest, TellsTornFromCorrupt) {
+  std::string stream;
+  AppendFrame(stream, "first");
+  AppendFrame(stream, "second payload");
+  const std::size_t second = FrameSize(5);
+  FrameStatus last = FrameStatus::kOk;
+
+  // Every cut inside the second frame is torn, never corrupt.
+  for (std::size_t cut = second + 1; cut < stream.size(); ++cut) {
+    EXPECT_EQ(DecodeAll(stream.substr(0, cut), &last).size(), 1u) << cut;
+    EXPECT_EQ(last, FrameStatus::kTorn) << cut;
+  }
+  // A whole frame whose bytes changed is corrupt.
+  std::string flipped = stream;
+  flipped[second + FrameSize(0) + 3] ^= 0x10;
+  EXPECT_EQ(DecodeAll(flipped, &last).size(), 1u);
+  EXPECT_EQ(last, FrameStatus::kCorrupt);
+  // A length pointing past the end is torn; the CRC is never consulted.
+  std::string long_len = stream;
+  long_len[second + 3] = '\x7f';
+  EXPECT_EQ(DecodeAll(long_len, &last).size(), 1u);
+  EXPECT_EQ(last, FrameStatus::kTorn);
+}
+
+// Seeded mutation test over the frame decoder: encode K random payloads,
+// damage the stream with one bit flip, truncation, or 4-byte header
+// overwrite, and require the decode to yield a byte-equal prefix of the
+// originals and then stop — never a foreign payload, never a read out of
+// bounds (the storage_test ASan/UBSan/TSan legs run this too).
+TEST(FrameCodecTest, SeededMutationsYieldAnExactPrefixThenStop) {
+  constexpr int kPayloads = 12;
+  constexpr int kMutations = 3000;
+  Rng rng(20251018);
+  const std::vector<std::string> originals = RandomPayloads(rng, kPayloads);
+  std::string stream;
+  std::vector<std::size_t> starts;
+  for (const std::string& payload : originals) {
+    starts.push_back(stream.size());
+    AppendFrame(stream, payload);
+  }
+  // The frame holding byte `pos`.
+  const auto frame_of = [&](std::size_t pos) {
+    return static_cast<std::size_t>(
+        std::upper_bound(starts.begin(), starts.end(), pos) - starts.begin() -
+        1);
+  };
+
+  int flips = 0, cuts = 0, overwrites = 0;
+  for (int m = 0; m < kMutations; ++m) {
+    std::string data = stream;
+    std::size_t damaged = 0;  // first frame whose bytes changed
+    switch (rng.NextBelow(3)) {
+      case 0: {
+        const std::size_t bit = rng.NextBelow(data.size() * 8);
+        data[bit / 8] ^= static_cast<char>(1u << (bit % 8));
+        damaged = frame_of(bit / 8);
+        ++flips;
+        break;
+      }
+      case 1: {
+        const std::size_t cut = rng.NextBelow(data.size());
+        data.resize(cut);
+        damaged = frame_of(cut);
+        ++cuts;
+        break;
+      }
+      default: {
+        damaged = rng.NextBelow(starts.size());
+        const std::size_t at = starts[damaged] + 4 * rng.NextBelow(2);
+        for (std::size_t i = 0; i < 4; ++i) {
+          data[at + i] = static_cast<char>(rng.NextBelow(256));
+        }
+        if (data == stream) damaged = starts.size();  // overwrote in kind
+        ++overwrites;
+        break;
+      }
+    }
+
+    FrameStatus last = FrameStatus::kOk;
+    const std::vector<std::string> decoded = DecodeAll(data, &last);
+    ASSERT_LE(decoded.size(), originals.size()) << "mutation " << m;
+    for (std::size_t i = 0; i < decoded.size(); ++i) {
+      ASSERT_EQ(decoded[i], originals[i])
+          << "mutation " << m << " returned a foreign payload at " << i;
+    }
+    // Every frame before the damage decodes; none from it on does.
+    EXPECT_EQ(decoded.size(), damaged) << "mutation " << m;
+    const bool clean_cut = damaged < starts.size() &&
+                           data.size() == starts[damaged];
+    if (clean_cut || damaged == starts.size()) {
+      EXPECT_EQ(last, FrameStatus::kEnd) << "mutation " << m;
+    } else {
+      EXPECT_TRUE(last == FrameStatus::kTorn || last == FrameStatus::kCorrupt)
+          << "mutation " << m;
+    }
+  }
+  // The budget exercised every mutation kind.
+  EXPECT_GT(flips, 0);
+  EXPECT_GT(cuts, 0);
+  EXPECT_GT(overwrites, 0);
+}
+
+TEST(DurableFileTest, WritesAtomicallyAndLeavesNoTempOnFailure) {
+  const std::string dir = test::ScratchDir("durable_file");
+  const std::string path = (std::filesystem::path(dir) / "blob").string();
+  std::string error;
+  ASSERT_TRUE(WriteFileAtomically(path, "first", &error)) << error;
+  ASSERT_TRUE(WriteFileAtomically(path, "second", &error)) << error;
+  std::string read;
+  ASSERT_TRUE(ReadFile(path, &read, &error)) << error;
+  EXPECT_EQ(read, "second");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  // The rename fails (the destination is a non-empty directory): the call
+  // reports it, the destination is untouched, and the tmp is unlinked.
+  const std::string blocked = (std::filesystem::path(dir) / "dir").string();
+  std::filesystem::create_directories(blocked + "/child");
+  error.clear();
+  EXPECT_FALSE(WriteFileAtomically(blocked, "bytes", &error));
+  EXPECT_FALSE(error.empty());
+  EXPECT_TRUE(std::filesystem::is_directory(blocked + "/child"));
+  EXPECT_FALSE(std::filesystem::exists(blocked + ".tmp"));
+
+  // The tmp cannot even be created: a clean failure, nothing on disk.
+  const std::string orphan =
+      (std::filesystem::path(dir) / "missing" / "blob").string();
+  EXPECT_FALSE(WriteFileAtomically(orphan, "bytes", &error));
+  EXPECT_FALSE(ReadFile(orphan, &read, &error));
 }
 
 }  // namespace

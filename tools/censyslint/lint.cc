@@ -322,12 +322,13 @@ const std::vector<LineRule>& LineRules() {
       {"raw-file-io", "",
        std::regex(
            R"(std\s*::\s*(o|i)?fstream\b|std\s*::\s*filebuf\b|\b(fopen|freopen|fdopen|tmpfile)\s*\(|(^|[^\w:])::\s*(open|creat|write|pwrite|fsync|fdatasync|ftruncate)\s*\()"),
-       "direct file I/O outside src/storage/; bytes on disk flow through "
-       "the WAL-backed storage layer so crash consistency stays provable",
-       {},
+       "direct file I/O outside storage/frame.{h,cc} and storage/wal.cc; "
+       "bytes on disk flow through the frame module's file helpers (or the "
+       "WAL's segment appender) so crash consistency stays provable",
+       {"src/storage/frame.h", "src/storage/frame.cc", "src/storage/wal.cc"},
        false,
        {"src/"},
-       {"src/storage/"}},
+       {}},
       {"raw-condvar", "",
        std::regex(
            R"(std\s*::\s*condition_variable(_any)?\b|\bnotify_(one|all)\s*\(|\.\s*wait(_for|_until)?\s*\()"),
