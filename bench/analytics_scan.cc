@@ -123,18 +123,6 @@ int main() {
               "(acceptance floor: 10x)\n",
               suffix_speedup, field_speedup);
 
-  EmitBenchJson("analytics_scan", "build_ms", build_ms, "ms");
-  EmitBenchJson("analytics_scan", "walk_suffix_rows_per_s",
-                walk_sfx.rows_per_s, "items/s");
-  EmitBenchJson("analytics_scan", "segment_suffix_rows_per_s",
-                seg_sfx.rows_per_s, "items/s");
-  EmitBenchJson("analytics_scan", "walk_field_rows_per_s",
-                walk_fld.rows_per_s, "items/s");
-  EmitBenchJson("analytics_scan", "segment_field_rows_per_s",
-                seg_fld.rows_per_s, "items/s");
-  EmitBenchJson("analytics_scan", "suffix_speedup_x", suffix_speedup, "x");
-  EmitBenchJson("analytics_scan", "field_speedup_x", field_speedup, "x");
-
   if (suffix_speedup < 10.0) {
     std::fprintf(stderr,
                  "analytics_scan: suffix speedup %.1fx below the 10x "

@@ -10,7 +10,8 @@
 #   scripts/check.sh faultoff   # CENSYSIM_FAULT_INJECTION=OFF compile + tests
 #   scripts/check.sh trace      # flight-recorder leg: determinism probe,
 #                               # tracereport smoke, TRACE=OFF compile-out
-#   scripts/check.sh scaling    # BM_EngineTick 4-thread >= 2x 1-thread
+#   scripts/check.sh scaling    # BM_EngineTick 4-thread >= 2x 1-thread, plus
+#                               # the Amdahl parallel fraction it implies
 #                               # (skips on runners with < 4 cores)
 #   scripts/check.sh query      # standing-query determinism + columnar
 #                               # corruption fallback under ASan and TSan
@@ -170,8 +171,11 @@ for b in report.get("benchmarks", []):
 if 1 not in ips or 4 not in ips:
     sys.exit("scaling leg: BM_EngineTick rows missing from bench output")
 ratio = ips[4] / ips[1]
+# Amdahl: the parallel fraction p that a 4/1 speedup S implies.
+parallel = (1 - 1 / ratio) / (1 - 1 / 4)
 print(f"scaling leg: 1-thread {ips[1]:.0f} items/s, "
-      f"4-thread {ips[4]:.0f} items/s, ratio {ratio:.2f}x")
+      f"4-thread {ips[4]:.0f} items/s, ratio {ratio:.2f}x, "
+      f"Amdahl parallel fraction p = {parallel:.2f}")
 if ratio < 2.0:
     sys.exit(f"scaling leg: 4-thread/1-thread ratio {ratio:.2f}x < 2.0x")
 PY

@@ -74,20 +74,18 @@ void WriteSide::IngestScanLocked(const ServiceRecord& record,
   }
 
   // --- pseudo-service filtering ----------------------------------------------
+  std::uint64_t content_hash = 0;
   if (options_.filter_pseudo_services) {
     if (pseudo_hosts_.contains(host)) {
       pseudo_suppressed_.fetch_add(1, std::memory_order_relaxed);
       pseudo_metric_.Add();
       return;
     }
-    HostCounts& counts = host_counts_[host];
-    const std::uint64_t content_hash =
+    content_hash =
         precomputed_hash != nullptr ? *precomputed_hash : ContentHash(record);
-    if (!states_.contains(packed)) {
-      ++counts.total;
-      ++counts.by_content[content_hash];
-    }
-    if (counts.by_content[content_hash] > options_.pseudo_service_threshold) {
+    std::uint32_t& same_content = host_counts_[host][content_hash];
+    if (!states_.contains(packed)) ++same_content;
+    if (same_content > options_.pseudo_service_threshold) {
       // Host flagged: remove everything we had for it and suppress future
       // services. Removals are journaled write-through, so drain any other
       // staged events first to keep the WAL in sequence order.
@@ -125,6 +123,7 @@ void WriteSide::IngestScanLocked(const ServiceRecord& record,
   auto& service_state = states_[packed];
   if (!existed) {
     service_state.key = record.key;
+    service_state.content_hash = content_hash;
     service_state.first_seen = record.observed_at;
     service_state.last_refreshed = record.observed_at;
     by_refresh_.emplace(record.observed_at.minutes, packed);
@@ -230,6 +229,14 @@ void WriteSide::EraseState(std::uint64_t packed) {
   if (it == states_.end()) return;
   by_refresh_.erase({it->second.last_refreshed.minutes, packed});
   pending_.erase(packed);
+  if (options_.filter_pseudo_services) {
+    const std::uint32_t host = it->second.key.ip.value();
+    auto& by_content = host_counts_[host];
+    if (--by_content[it->second.content_hash] == 0) {
+      by_content.erase(it->second.content_hash);
+      if (by_content.empty()) host_counts_.erase(host);
+    }
+  }
   states_.erase(it);
 }
 

@@ -45,6 +45,9 @@ struct ServiceState {
   // Protocol of the last ingested record: what the journal's current
   // state says about this service, without a string-keyed journal read.
   proto::Protocol label = proto::Protocol::kUnknown;
+  // Pseudo-filter content hash of the first ingested record: the bucket
+  // this service counts toward until it is evicted.
+  std::uint64_t content_hash = 0;
 };
 
 // A service due for refresh, as DueForRefresh reports it.
@@ -241,14 +244,11 @@ class WriteSide {
   std::unordered_map<std::uint32_t, std::uint64_t> host_revisions_
       CENSYS_GUARDED_BY(mu_);
 
-  // Pseudo-service detection: per-host count of services sharing one
-  // content hash.
-  struct HostCounts {
-    std::unordered_map<std::uint64_t, std::uint32_t> by_content;
-    std::uint32_t total = 0;
-  };
-  std::unordered_map<std::uint32_t, HostCounts> host_counts_
-      CENSYS_GUARDED_BY(mu_);
+  // Pseudo-service detection: per host, the number of tracked services
+  // per first-seen content hash (EraseState takes a service back out).
+  std::unordered_map<std::uint32_t,
+                     std::unordered_map<std::uint64_t, std::uint32_t>>
+      host_counts_ CENSYS_GUARDED_BY(mu_);
   std::unordered_map<std::uint32_t, bool> pseudo_hosts_ CENSYS_GUARDED_BY(mu_);
 
   // Group-commit staging (command thread, under mu_).

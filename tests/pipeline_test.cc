@@ -198,6 +198,27 @@ TEST_F(WriteSideTest, PseudoHostGetsFilteredAfterThreshold) {
   EXPECT_EQ(write_.tracked_count(), 0u);
 }
 
+TEST_F(WriteSideTest, EvictedServicesLeaveThePseudoCount) {
+  const IPv4Address host(99);
+  const auto canned = [&](Port port, Timestamp at) {
+    auto record = HttpRecord(host, port, at, "Canned");
+    record.banner = "Server: middlebox";
+    return record;
+  };
+  const std::uint32_t threshold = WriteSide::Options{}.pseudo_service_threshold;
+  for (Port port = 1000; port < 1000 + threshold; ++port) {
+    write_.IngestScan(canned(port, Timestamp{0}));
+    write_.IngestFailure({host, port, Transport::kTcp}, Timestamp{10});
+  }
+  write_.AdvanceTo(Timestamp::FromDays(5));
+  ASSERT_EQ(write_.services_evicted(), threshold);
+  // The one new service is all the host tracks now: alone it must not tip
+  // the host over the threshold.
+  write_.IngestScan(canned(5000, Timestamp::FromDays(6)));
+  EXPECT_FALSE(write_.IsPseudoFlagged(host));
+  EXPECT_EQ(write_.tracked_count(), 1u);
+}
+
 TEST_F(WriteSideTest, DiverseServicesOnOneHostAreNotPseudo) {
   const IPv4Address host(50);
   for (Port port = 8000; port < 8030; ++port) {
@@ -258,7 +279,7 @@ TEST(WriteSideIndexOracleTest, IndexesMatchFullScanOverRandomSchedules) {
     storage::EventJournal journal;
     EventBus bus;
     WriteSide::Options options;
-    options.pseudo_service_threshold = 4;
+    options.pseudo_service_threshold = 3;
     WriteSide write(journal, bus, options);
     const core::ThreadRoleGuard role(write.command_role());
     Rng rng(seed);
